@@ -848,6 +848,130 @@ TEST(Serve, ExpensiveTierDoesNotStarveCheapTierOnSharedDevice)
         0.5);
 }
 
+// ---------------------------------------------------------------------
+// Server: golden fingerprints
+// ---------------------------------------------------------------------
+//
+// The determinism tests above compare runs inside one build; these pin
+// ServingStats::fingerprint across commits, so a change to the serve
+// driver that reorders batch closes, arrivals or DRR picks fails here
+// even when every within-build comparison still agrees. Change a
+// constant only when the serving model is meant to move, and record
+// why.
+
+constexpr uint64_t kGoldenOpenSingleTier = 0x3D9E169AABFB5D9CULL;
+constexpr uint64_t kGoldenTwoTier15k = 0x98F45ED208598490ULL;
+constexpr uint64_t kGoldenTwoTier30k = 0xD070AECE6E2686B1ULL;
+constexpr uint64_t kGoldenShardedNvme = 0x48A8B588CB96D584ULL;
+constexpr uint64_t kGoldenAutoscaledFlash = 0x896F2387F98B2FF4ULL;
+constexpr uint64_t kGoldenClosedLoop32 = 0x3F635E6639DC91C7ULL;
+
+TEST(ServeGolden, OpenLoopSingleTierAtAnyWidth)
+{
+    for (int workers : {1, 4, 8}) {
+        auto opts = base_server_options();
+        opts.worker_threads = workers;
+        serve::Server server(products(), opts);
+        server.serve(make_trace(server, 3000.0, 384));
+        EXPECT_EQ(server.last_stats().fingerprint, kGoldenOpenSingleTier)
+            << "workers=" << workers;
+    }
+}
+
+TEST(ServeGolden, TwoTierOverloadDrrAtAnyWidth)
+{
+    // The multimodel bench's cold rows: GCN + GAT on one device, a
+    // paid/standard/best-effort mix with per-class SLOs and early-drop
+    // headroom. At these rates both tiers hold closed batches between
+    // arrivals, so the dispatch order is DRR's choice.
+    const std::pair<double, uint64_t> rows[] = {
+        {15e3, kGoldenTwoTier15k}, {30e3, kGoldenTwoTier30k}};
+    for (const auto &[rate, golden] : rows) {
+        for (int workers : {1, 4, 8}) {
+            auto opts = two_tier_options();
+            opts.worker_threads = workers;
+            opts.admission.max_pending = 64;
+            opts.admission.deadline_headroom = {0.0, 5e-3, 10e-3};
+            serve::Server server(products(), opts);
+            serve::LoadGeneratorOptions lopts;
+            lopts.rate_rps = rate;
+            lopts.num_requests = 768;
+            lopts.slo_deadline = 20e-3;
+            lopts.class_mix = {0.3, 0.4, 0.3};
+            lopts.class_slo_scale = {1.0, 1.5, 2.0};
+            lopts.model_mix = {0.7, 0.3};
+            lopts.seed = 13;
+            serve::LoadGenerator gen(server.popularity(), lopts);
+            server.serve(gen.generate());
+            EXPECT_EQ(server.last_stats().fingerprint, golden)
+                << "rate=" << rate << " workers=" << workers;
+        }
+    }
+}
+
+TEST(ServeGolden, TwoGpuShardedCacheWithNvmeTier)
+{
+    auto opts = base_server_options();
+    opts.worker_threads = 4;
+    opts.num_gpus = 2;
+    opts.storage.storage = store::StorageKind::kNvme;
+    opts.storage.host_mem_fraction = 0.25;
+    serve::Server server(products(), opts);
+    server.serve(make_trace(server, 20000.0, 384));
+    const serve::ServingStats &st = server.last_stats();
+    EXPECT_GT(st.store.storage_rows, 0);
+    EXPECT_GT(st.feature_remote_hits, 0);
+    EXPECT_EQ(st.fingerprint, kGoldenShardedNvme);
+}
+
+TEST(ServeGolden, AutoscaledSamplerPoolUnderFlashCrowd)
+{
+    auto opts = base_server_options();
+    opts.worker_threads = 4;
+    opts.admission.max_pending = 512;
+    opts.embedding.capacity_rows = 0;
+    opts.autoscale.enabled = true;
+    opts.autoscale.min_workers = 1;
+    opts.autoscale.max_workers = 8;
+    opts.autoscale.wait_high = 0.2e-3;
+    serve::Server server(products(), opts);
+    serve::LoadGeneratorOptions lopts;
+    lopts.rate_rps = 30000.0;
+    lopts.trace = serve::ArrivalTrace::kFlashCrowd;
+    lopts.flash_start = 5e-3;
+    lopts.flash_duration = 20e-3;
+    lopts.flash_multiplier = 10.0;
+    lopts.num_requests = 1024;
+    lopts.slo_deadline = 50e-3;
+    lopts.seed = 13;
+    serve::LoadGenerator gen(server.popularity(), lopts);
+    server.serve(gen.generate());
+    const serve::ServingStats &st = server.last_stats();
+    EXPECT_FALSE(st.autoscale.events.empty());
+    EXPECT_EQ(st.fingerprint, kGoldenAutoscaledFlash);
+}
+
+TEST(ServeGolden, ClosedLoopThirtyTwoClients)
+{
+    auto opts = base_server_options();
+    opts.worker_threads = 4;
+    serve::Server server(products(), opts);
+    serve::LoadGeneratorOptions lopts;
+    lopts.num_requests = 32 * 12;
+    lopts.slo_deadline = 20e-3;
+    lopts.seed = 13;
+    serve::LoadGenerator gen(server.popularity(), lopts);
+    serve::ClosedLoopOptions copts;
+    copts.num_clients = 32;
+    copts.requests_per_client = 12;
+    copts.think_time = 0.5e-3;
+    server.serve_closed(gen.generate_closed(copts));
+    const serve::ServingStats &st = server.last_stats();
+    EXPECT_EQ(st.closed_loop_clients, 32);
+    EXPECT_EQ(st.offered, 32 * 12);
+    EXPECT_EQ(st.fingerprint, kGoldenClosedLoop32);
+}
+
 TEST(Serve, StatsAccountHostExecution)
 {
     auto opts = base_server_options();
