@@ -37,6 +37,7 @@
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
 #include "sample/frequency_hashmap.h"
+#include "util/fingerprint.h"
 #include "util/rng.h"
 
 namespace {
@@ -53,17 +54,7 @@ seconds_since(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-uint64_t
-fnv_bytes(const void *data, size_t bytes)
-{
-    uint64_t h = 0xCBF29CE484222325ULL;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
+using util::fnv_bytes;
 
 // ------------------------------------------------------------------
 // Legacy replicas (the pre-engine paths, verbatim).

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <limits>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "sample/frequency_hashmap.h"
 #include "sample/neighbor_sampler.h"
+#include "util/fingerprint.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -33,24 +34,84 @@ seconds_since(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** FNV-1a fold of one 64-bit word into the run fingerprint. */
-uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
+using util::double_bits;
+using util::fnv;
 
-uint64_t
-double_bits(double x)
+/** One sampler worker's output: a request index and its ego-net. */
+struct Sampled
 {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof(bits));
-    return bits;
-}
+    size_t index = 0;
+    sample::SampledSubgraph sg;
+};
+
+/**
+ * Hands the sequencer a request's sampled subgraph by id. Workers
+ * finish out of order and the arrival source asks in its own order
+ * (trace order in the open loop, client order in the closed loop), so
+ * deliveries park in a ring over the ids from the lowest not yet taken
+ * upwards. Storage stays bounded by how far the workers run ahead of
+ * the sequencer, not by the request count; the ring doubles only when
+ * one request lags far behind the rest.
+ */
+class SubgraphFetcher
+{
+  public:
+    SubgraphFetcher(util::BoundedQueue<Sampled> &done, size_t capacity)
+        : done_(done), ring_(capacity), state_(capacity, kEmpty)
+    {
+    }
+
+    /** Request @p id's subgraph (each id at most once); nullopt when
+     *  the queue closed (stop) before it was delivered. */
+    std::optional<sample::SampledSubgraph>
+    take(size_t id)
+    {
+        while (id - base_ >= ring_.size() ||
+               state_[id % ring_.size()] != kParked) {
+            std::optional<Sampled> item = done_.pop();
+            if (!item)
+                return std::nullopt;
+            park(std::move(*item));
+        }
+        const size_t slot = id % ring_.size();
+        state_[slot] = kTaken;
+        sample::SampledSubgraph sg = std::exchange(ring_[slot], {});
+        while (state_[base_ % ring_.size()] == kTaken)
+            state_[base_++ % ring_.size()] = kEmpty;
+        return sg;
+    }
+
+  private:
+    enum : char { kEmpty, kParked, kTaken };
+
+    void
+    park(Sampled item)
+    {
+        FASTGL_CHECK(item.index >= base_,
+                     "request sequence number regressed");
+        if (item.index - base_ >= ring_.size()) {
+            // Re-home the live window [base_, base_ + size) by id.
+            size_t bigger = ring_.size();
+            while (item.index - base_ >= bigger)
+                bigger *= 2;
+            std::vector<sample::SampledSubgraph> ring(bigger);
+            std::vector<char> state(bigger, kEmpty);
+            for (size_t id = base_; id < base_ + ring_.size(); ++id) {
+                ring[id % bigger] = std::move(ring_[id % ring_.size()]);
+                state[id % bigger] = state_[id % ring_.size()];
+            }
+            ring_.swap(ring);
+            state_.swap(state);
+        }
+        ring_[item.index % ring_.size()] = std::move(item.sg);
+        state_[item.index % ring_.size()] = kParked;
+    }
+
+    util::BoundedQueue<Sampled> &done_;
+    std::vector<sample::SampledSubgraph> ring_;
+    std::vector<char> state_;
+    size_t base_ = 0; ///< Lowest id not yet taken.
+};
 
 } // namespace
 
@@ -67,6 +128,27 @@ struct Server::BatchCost
     double io_s = 0.0;     ///< PCIe + gather + peer + storage term.
     double compute_s = 0.0;///< Dedup-credited forward term.
     double storage_s = 0.0;///< Out-of-core stall inside io_s.
+};
+
+/**
+ * What happens between arrivals: the one policy open- and closed-loop
+ * serving differ in. Server::run pre-samples `requests` in id order
+ * and, on the sequencer thread, asks next() for one arrival at a time
+ * until it returns nullptr.
+ */
+struct Server::ArrivalSource
+{
+    /** Every request of the run, indexed by its dense id. */
+    std::span<const InferenceRequest> requests;
+    /** Advance the machine's virtual world up to the next arrival and
+     *  return that request with absolute arrival and deadline;
+     *  nullptr once no arrival is left. */
+    std::function<const InferenceRequest *(Engine &)> next;
+    /** Optional: request @p id's fate was decided at virtual time
+     *  @p at (completion when served, arrival when refused). */
+    std::function<void(int64_t id, double at)> decided;
+    /** Closed-loop client count (ServingStats); 0 for the open loop. */
+    int clients = 0;
 };
 
 Server::Server(const graph::Dataset &dataset, ServerOptions opts,
@@ -349,18 +431,17 @@ Server::cost_batch(size_t tier, int device,
 }
 
 /**
- * The shared virtual event machine behind serve() and serve_closed():
- * every batcher, cache, admission decision, profiler record, and
- * fingerprint fold lives here, driven strictly by one sequencer
- * thread. serve() replays a fixed arrival-ordered trace through it;
- * serve_closed() runs a client event loop that decides arrivals as it
- * goes. Both observe the identical per-request machinery, so the
- * open-loop fingerprints of earlier PRs are preserved bit-exactly.
+ * The virtual event machine: every batcher, cache, admission decision,
+ * profiler record, and fingerprint fold lives here, driven strictly by
+ * the sequencer thread of Server::run. The arrival source decides which
+ * request arrives next and when; everything a request then meets is
+ * this one machine, whichever loop fed it.
  */
 struct Server::Engine
 {
     Server &s;
     std::vector<InferenceResponse> &responses;
+    const ArrivalSource &source;
     const size_t num_tiers;
 
     // ---- Virtual-clock state, owned by the sequencer thread and ----
@@ -377,7 +458,7 @@ struct Server::Engine
         int64_t batch_members = 0;
         size_t processed = 0;
         std::deque<double> inflight; ///< Completion times, monotone.
-        uint64_t fingerprint = 0xCBF29CE484222325ULL;
+        uint64_t fingerprint = util::kFnvOffset;
         ServingStats tallies; ///< Counter/latency fields only.
     } vs;
 
@@ -399,15 +480,12 @@ struct Server::Engine
     std::optional<Autoscaler> scaler;
     /** Configured embedding capacity per tier (cache elasticity). */
     std::vector<int64_t> base_cache_rows;
-    /** Closed-loop hook: called once per request with the virtual
-     *  time its fate was decided (completion when served, arrival
-     *  when refused) — the client's think timer starts there. */
-    std::function<void(int64_t id, double at)> decided;
-    int closed_clients = 0; ///< ServingStats::closed_loop_clients.
 
-    Engine(Server &server, std::vector<InferenceResponse> &resp)
+    Engine(Server &server, std::vector<InferenceResponse> &resp,
+           const ArrivalSource &src)
         : s(server),
           responses(resp),
+          source(src),
           num_tiers(server.tiers_.size()),
           drr(server.tiers_.size(), server.opts_.drr_quantum),
           profiler(server.opts_.profile)
@@ -454,8 +532,7 @@ struct Server::Engine
             for (size_t m = 0; m < num_tiers; ++m) {
                 for (int d = 0; d < s.num_gpus_; ++d) {
                     // The hottest rows this device owns (all rows when
-                    // single-GPU), seeded coldest first so the hottest
-                    // end up most-recently-used.
+                    // single-GPU).
                     const int64_t cap = std::min<int64_t>(
                         s.tiers_[m].embedding.capacity_rows,
                         static_cast<int64_t>(s.ranking_.size()));
@@ -540,9 +617,9 @@ struct Server::Engine
         // Closed loop: the client's think timer starts the moment its
         // request's fate is known — completion when served, right at
         // the refusal otherwise.
-        if (decided)
-            decided(req.id,
-                    is_served(outcome) ? completion : req.arrival);
+        if (source.decided)
+            source.decided(req.id,
+                           is_served(outcome) ? completion : req.arrival);
     }
 
     void
@@ -664,7 +741,8 @@ struct Server::Engine
         }
     }
 
-    // Wait-triggered batch closes up to virtual time @p now. When
+    // Wait-triggered batch closes up to virtual time @p now (+inf
+    // drains every open batch at the end of a run). When
     // several tiers have a closed batch contending for the device,
     // deficit round robin (costed with the admitted requests' modelled
     // compute seconds) picks the dispatch order — a cheap tier is not
@@ -686,31 +764,6 @@ struct Server::Engine
             }
             if (num_ready == 0)
                 return;
-            const size_t m = num_ready == 1
-                                 ? only
-                                 : drr.pick(ready, pending_cost);
-            dispatch(m, batchers[m].close_time());
-        }
-    }
-
-    /** End-of-trace drain of the final partial batches, still
-     *  DRR-arbitrated when several tiers hold one. */
-    void
-    drain()
-    {
-        for (;;) {
-            std::vector<char> ready(num_tiers, 0);
-            size_t num_ready = 0;
-            size_t only = 0;
-            for (size_t m = 0; m < num_tiers; ++m) {
-                if (!batchers[m].empty()) {
-                    ready[m] = 1;
-                    only = m;
-                    ++num_ready;
-                }
-            }
-            if (num_ready == 0)
-                break;
             const size_t m = num_ready == 1
                                  ? only
                                  : drr.pick(ready, pending_cost);
@@ -1009,7 +1062,7 @@ struct Server::Engine
         if (s.engine_)
             st.compute_gflops = s.engine_->stats().gemm_gflops();
         st.modelled_samplers = s.opts_.modelled_samplers;
-        st.closed_loop_clients = closed_clients;
+        st.closed_loop_clients = source.clients;
         if (scaler)
             st.autoscale = scaler->report(
                 static_cast<int>(sampler_free.size()));
@@ -1019,31 +1072,28 @@ struct Server::Engine
 };
 
 std::vector<InferenceResponse>
-Server::serve(const std::vector<InferenceRequest> &trace)
+Server::run(const ArrivalSource &source)
 {
     stats_ = ServingStats{};
     if (engine_)
         engine_->reset_stats();
     const Clock::time_point wall_start = Clock::now();
-    const size_t total = trace.size();
+    const std::span<const InferenceRequest> requests = source.requests;
+    const size_t total = requests.size();
     const size_t num_tiers = tiers_.size();
 
     std::vector<InferenceResponse> responses(total);
     for (size_t i = 0; i < total; ++i) {
-        FASTGL_CHECK(trace[i].id == static_cast<int64_t>(i),
-                     "serve() needs dense trace ids 0..n-1 in order");
-        FASTGL_CHECK(trace[i].model >= 0 &&
-                         static_cast<size_t>(trace[i].model) < num_tiers,
+        FASTGL_CHECK(requests[i].id == static_cast<int64_t>(i),
+                     "serving needs dense request ids 0..n-1 in order");
+        FASTGL_CHECK(requests[i].model >= 0 &&
+                         static_cast<size_t>(requests[i].model) <
+                             num_tiers,
                      "request routed to a model tier the server "
                      "does not host");
-        responses[i].request_id = trace[i].id;
+        responses[i].request_id = requests[i].id;
     }
 
-    struct Sampled
-    {
-        size_t index = 0;
-        sample::SampledSubgraph sg;
-    };
     util::BoundedQueue<size_t> work_queue(opts_.queue_depth);
     util::BoundedQueue<Sampled> done_queue(opts_.queue_depth);
     shutdown_.begin_run([&work_queue, &done_queue] {
@@ -1063,7 +1113,7 @@ Server::serve(const std::vector<InferenceRequest> &trace)
         done_queue.fail(error);
     };
 
-    Engine machine(*this, responses);
+    Engine machine(*this, responses, source);
 
     std::mutex merge_mu; ///< Guards stats_.worker_sample_seconds.
 
@@ -1084,11 +1134,8 @@ Server::serve(const std::vector<InferenceRequest> &trace)
                     std::make_unique<sample::NeighborSampler>(
                         dataset_.graph, nopts));
             }
-            for (;;) {
-                const std::optional<size_t> index = work_queue.pop();
-                if (!index)
-                    break; // closed and drained
-                const InferenceRequest &req = trace[*index];
+            while (const std::optional<size_t> index = work_queue.pop()) {
+                const InferenceRequest &req = requests[*index];
                 if (opts_.sample_hook)
                     opts_.sample_hook(req.id);
                 const Clock::time_point t0 = Clock::now();
@@ -1113,58 +1160,21 @@ Server::serve(const std::vector<InferenceRequest> &trace)
 
     auto sequencer = [&] {
         try {
-            // Reassembly ring: workers finish out of order, the event
-            // machine replays strictly in arrival order (the same
-            // discipline as AsyncPipeline's per-GPU window sequencer).
-            size_t cap = opts_.queue_depth * 2 +
-                         static_cast<size_t>(worker_threads_) + 1;
-            std::vector<Sampled> ring(cap);
-            std::vector<char> parked(cap, 0);
-            size_t next = 0;
-            while (next < total) {
-                std::optional<Sampled> item = done_queue.pop();
-                if (!item)
-                    break; // closed (stop) and drained
-                const size_t index = item->index;
-                FASTGL_CHECK(index >= next,
-                             "request sequence number regressed");
-                if (index - next >= cap) {
-                    // Grow the ring (rare: one worker lagging far
-                    // behind); re-home parked items.
-                    size_t bigger = cap;
-                    while (index - next >= bigger)
-                        bigger *= 2;
-                    std::vector<Sampled> grown(bigger);
-                    std::vector<char> grown_parked(bigger, 0);
-                    for (size_t i = 0; i < cap; ++i) {
-                        if (!parked[i])
-                            continue;
-                        const size_t slot = ring[i].index % bigger;
-                        grown[slot] = std::move(ring[i]);
-                        grown_parked[slot] = 1;
-                    }
-                    ring.swap(grown);
-                    parked.swap(grown_parked);
-                    cap = bigger;
-                }
-                const size_t slot = index % cap;
-                ring[slot] = std::move(*item);
-                parked[slot] = 1;
-                while (next < total && parked[next % cap]) {
-                    const size_t head = next % cap;
-                    Sampled sampled = std::move(ring[head]);
-                    ring[head] = Sampled{};
-                    parked[head] = 0;
-                    ++next;
-                    machine.on_request(trace[sampled.index],
-                                       std::move(sampled.sg));
-                }
+            // Initial ring as deep as the pipeline can run ahead.
+            SubgraphFetcher fetcher(
+                done_queue, opts_.queue_depth * 2 +
+                                static_cast<size_t>(worker_threads_) +
+                                1);
+            while (const InferenceRequest *req = source.next(machine)) {
+                std::optional<sample::SampledSubgraph> sg =
+                    fetcher.take(static_cast<size_t>(req->id));
+                if (!sg)
+                    return; // stop requested: no final drain
+                ++machine.vs.processed;
+                machine.on_request(*req, std::move(*sg));
             }
-            machine.vs.processed = next;
-            if (next == total) {
-                // Trace exhausted: drain the final partial batches.
-                machine.drain();
-            }
+            // Arrivals exhausted: dispatch the final partial batches.
+            machine.flush_closed(std::numeric_limits<double>::infinity());
         } catch (...) {
             fail(std::current_exception());
         }
@@ -1176,7 +1186,9 @@ Server::serve(const std::vector<InferenceRequest> &trace)
         workers.emplace_back(worker);
     std::thread sequencer_thread(sequencer);
 
-    // The run() caller is the feeder stage.
+    // The caller is the feeder stage: every request is sampled
+    // speculatively in id order, before the sequencer decides whether
+    // (and, in the closed loop, when) it arrives.
     for (size_t i = 0; i < total; ++i) {
         if (!work_queue.push(i))
             break; // closed (stop) or failed
@@ -1203,14 +1215,26 @@ Server::serve(const std::vector<InferenceRequest> &trace)
 }
 
 std::vector<InferenceResponse>
+Server::serve(const std::vector<InferenceRequest> &trace)
+{
+    // Open loop: the trace is the arrival order. Engine::on_request
+    // then flushes every batch the arrival's time has closed, and DRR
+    // arbitrates all ready tiers at once. Stepping closes one at a
+    // time here, as the closed loop must, would change which tier
+    // dispatches first and move multi-tier results.
+    size_t next = 0;
+    ArrivalSource source;
+    source.requests = trace;
+    source.next = [&](Engine &) -> const InferenceRequest * {
+        return next < trace.size() ? &trace[next++] : nullptr;
+    };
+    return run(source);
+}
+
+std::vector<InferenceResponse>
 Server::serve_closed(const ClosedLoopScript &script)
 {
-    stats_ = ServingStats{};
-    if (engine_)
-        engine_->reset_stats();
-    const Clock::time_point wall_start = Clock::now();
     const size_t total = script.requests.size();
-    const size_t num_tiers = tiers_.size();
     const int num_clients = script.num_clients;
     FASTGL_CHECK(num_clients > 0,
                  "closed-loop script needs >= 1 client");
@@ -1220,210 +1244,62 @@ Server::serve_closed(const ClosedLoopScript &script)
                  "closed-loop script requests must divide evenly "
                  "across clients");
 
-    std::vector<InferenceResponse> responses(total);
-    for (size_t i = 0; i < total; ++i) {
-        FASTGL_CHECK(script.requests[i].id == static_cast<int64_t>(i),
-                     "closed-loop script needs dense ids 0..n-1");
-        FASTGL_CHECK(script.requests[i].model >= 0 &&
-                         static_cast<size_t>(
-                             script.requests[i].model) < num_tiers,
-                     "request routed to a model tier the server "
-                     "does not host");
-        responses[i].request_id = script.requests[i].id;
-    }
-
-    struct Sampled
-    {
-        size_t index = 0;
-        sample::SampledSubgraph sg;
-    };
-    util::BoundedQueue<size_t> work_queue(opts_.queue_depth);
-    util::BoundedQueue<Sampled> done_queue(opts_.queue_depth);
-    shutdown_.begin_run([&work_queue, &done_queue] {
-        work_queue.close();
-        done_queue.close();
-    });
-
-    std::mutex error_mu;
-    std::exception_ptr first_error;
-    auto fail = [&](std::exception_ptr error) {
-        {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error)
-                first_error = error;
-        }
-        work_queue.fail(error);
-        done_queue.fail(error);
-    };
-
-    Engine machine(*this, responses);
-    machine.closed_clients = num_clients;
-
-    // Closed-loop client state: request k of client c carries the
-    // script id k * num_clients + c; the next arrival of a client is
-    // decided by the event machine (decision time + think).
+    // Client state: request k of client c carries the script id
+    // k * num_clients + c; a client's next arrival is its previous
+    // request's decision time plus its think gap, so arrivals are only
+    // known once the machine has decided the requests before them.
     const int64_t per_client =
         static_cast<int64_t>(total) / num_clients;
     std::vector<int64_t> next_k(static_cast<size_t>(num_clients), 0);
     using Event = std::pair<double, int>; ///< (arrival, client).
-    std::priority_queue<Event, std::vector<Event>,
-                        std::greater<Event>>
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         arrivals;
-    machine.decided = [&](int64_t id, double at) {
+    // Every client thinks once before its first request.
+    for (int c = 0; c < num_clients; ++c)
+        arrivals.push({script.think[static_cast<size_t>(c)], c});
+
+    InferenceRequest current;
+    ArrivalSource source;
+    source.requests = script.requests;
+    source.clients = num_clients;
+    source.decided = [&](int64_t id, double at) {
         const int c = static_cast<int>(id % num_clients);
         const int64_t k = id / num_clients;
         if (k + 1 < per_client) {
             const int64_t next_id = (k + 1) * num_clients + c;
-            arrivals.push({at + script.think[static_cast<size_t>(
-                                    next_id)],
-                           c});
+            arrivals.push(
+                {at + script.think[static_cast<size_t>(next_id)], c});
         }
     };
-
-    std::mutex merge_mu; ///< Guards stats_.worker_sample_seconds.
-
-    auto worker = [&] {
-        util::SampleStat local;
-        try {
-            std::vector<std::unique_ptr<sample::NeighborSampler>>
-                samplers;
-            samplers.reserve(num_tiers);
-            for (const Tier &tier : tiers_) {
-                sample::NeighborSamplerOptions nopts;
-                nopts.fanouts = tier.config.fanouts;
-                nopts.seed = opts_.seed + 101;
-                samplers.push_back(
-                    std::make_unique<sample::NeighborSampler>(
-                        dataset_.graph, nopts));
-            }
-            for (;;) {
-                const std::optional<size_t> index = work_queue.pop();
-                if (!index)
-                    break; // closed and drained
-                const InferenceRequest &req =
-                    script.requests[*index];
-                if (opts_.sample_hook)
-                    opts_.sample_hook(req.id);
-                const Clock::time_point t0 = Clock::now();
-                Sampled sampled;
-                sampled.index = *index;
-                sampled.sg =
-                    samplers[static_cast<size_t>(req.model)]->sample(
-                        req.targets,
-                        util::derive_seed(
-                            opts_.seed, kSampleStream,
-                            static_cast<uint64_t>(req.id)));
-                local.add(seconds_since(t0));
-                if (!done_queue.push(std::move(sampled)))
-                    break; // closed (stop) or failed
-            }
-        } catch (...) {
-            fail(std::current_exception());
+    // Closed loop: a batch close can free a client whose next arrival
+    // precedes the other closes, so closes are stepped one at a time
+    // in close-time order until the earliest client arrival comes
+    // next (closes win ties — they were scheduled earlier).
+    source.next = [&](Engine &machine) -> const InferenceRequest * {
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        for (;;) {
+            double t_close = kInf;
+            for (const DynamicBatcher &b : machine.batchers)
+                t_close = std::min(t_close, b.close_time());
+            const double t_arrival =
+                arrivals.empty() ? kInf : arrivals.top().first;
+            if (t_close > t_arrival)
+                break;
+            if (t_close == kInf)
+                return nullptr; // no batch open, no client waiting
+            machine.flush_closed(t_close);
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        stats_.worker_sample_seconds.merge(local);
+        const auto [at, c] = arrivals.top();
+        arrivals.pop();
+        const int64_t k = next_k[static_cast<size_t>(c)]++;
+        // The script carries the *relative* SLO budget; the loop
+        // stamps the absolute times it decided.
+        current = script.requests[static_cast<size_t>(k * num_clients + c)];
+        current.arrival = at;
+        current.deadline += at;
+        return &current;
     };
-
-    auto sequencer = [&] {
-        try {
-            constexpr double kInf =
-                std::numeric_limits<double>::infinity();
-            // Parked pre-sampled subgraphs, by script id. Unlike the
-            // open loop, the event loop needs ids in *its* order (the
-            // clients' order), so everything the workers deliver is
-            // parked until the loop asks for it.
-            std::vector<sample::SampledSubgraph> parked_sg(total);
-            std::vector<char> have(total, 0);
-            auto obtain = [&](size_t id) -> bool {
-                while (!have[id]) {
-                    std::optional<Sampled> item = done_queue.pop();
-                    if (!item)
-                        return false; // closed (stop) and drained
-                    parked_sg[item->index] = std::move(item->sg);
-                    have[item->index] = 1;
-                }
-                return true;
-            };
-            // Every client thinks once before its first request.
-            for (int c = 0; c < num_clients; ++c)
-                arrivals.push(
-                    {script.think[static_cast<size_t>(c)], c});
-            size_t processed = 0;
-            for (;;) {
-                // Next event: the earliest batch close or the
-                // earliest client arrival, whichever is first (closes
-                // win ties — they were scheduled earlier).
-                double t_close = kInf;
-                for (size_t m = 0; m < num_tiers; ++m) {
-                    if (!machine.batchers[m].empty())
-                        t_close = std::min(
-                            t_close,
-                            machine.batchers[m].close_time());
-                }
-                const double t_arrival =
-                    arrivals.empty() ? kInf : arrivals.top().first;
-                if (t_close == kInf && t_arrival == kInf)
-                    break; // no batches open, no client waiting
-                if (t_close <= t_arrival) {
-                    machine.flush_closed(t_close);
-                    continue;
-                }
-                const Event ev = arrivals.top();
-                arrivals.pop();
-                const int c = ev.second;
-                const int64_t k =
-                    next_k[static_cast<size_t>(c)]++;
-                const size_t id = static_cast<size_t>(
-                    k * num_clients + c);
-                if (!obtain(id))
-                    break; // stop requested
-                // The script carries the *relative* SLO budget; the
-                // event loop stamps the absolute times it decided.
-                InferenceRequest req = script.requests[id];
-                req.arrival = ev.first;
-                req.deadline += ev.first;
-                ++processed;
-                machine.on_request(req, std::move(parked_sg[id]));
-                parked_sg[id] = sample::SampledSubgraph{};
-            }
-            machine.vs.processed = processed;
-        } catch (...) {
-            fail(std::current_exception());
-        }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(worker_threads_));
-    for (int i = 0; i < worker_threads_; ++i)
-        workers.emplace_back(worker);
-    std::thread sequencer_thread(sequencer);
-
-    // Speculative pre-sampling in script-id order; the event loop
-    // parks out-of-order deliveries until the client owning them
-    // issues its request.
-    for (size_t i = 0; i < total; ++i) {
-        if (!work_queue.push(i))
-            break; // closed (stop) or failed
-    }
-    work_queue.close();
-    for (std::thread &t : workers)
-        t.join();
-    done_queue.close();
-    sequencer_thread.join();
-
-    stats_.wall_seconds = seconds_since(wall_start);
-    stats_.stopped_early = shutdown_.stop_requested();
-    shutdown_.end_run();
-    {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error)
-            std::rethrow_exception(first_error);
-    }
-
-    machine.finalize();
-    stats_.work_queue = work_queue.stats();
-    stats_.done_queue = done_queue.stats();
-    return responses;
+    return run(source);
 }
 
 } // namespace serve

@@ -24,9 +24,18 @@
  *   (run() thread)   (per-thread sampler,          (in-order virtual-
  *                     per-request RNG stream)       time event machine)
  *
- * The sequencer replays requests in arrival order and runs the entire
- * virtual-time state machine — batchers, caches, admission — alone, the
- * same single-writer discipline that keeps the training pipeline's
+ * serve() and serve_closed() share this one driver and differ only in
+ * their arrival source, the policy for what happens between arrivals.
+ * The open loop takes the trace in order, and each arrival flushes
+ * every batch its time has closed, DRR choosing among all ready tiers
+ * at once. The closed loop steps batch closes one at a time, because a
+ * close decides a client's next arrival, and that arrival may come
+ * before the other closes. Stepping closes in the open loop too would
+ * change the DRR order between tiers and so the multi-tier results.
+ *
+ * The sequencer feeds each arrival to the virtual-time state machine —
+ * batchers, caches, admission — and runs it alone, the same
+ * single-writer discipline that keeps the training pipeline's
  * Match/Reorder chain deterministic. Workers sample every request's
  * ego-net speculatively, before admission is decided: the per-request
  * RNG streams make that safe (a shed request's subgraph is simply
@@ -466,10 +475,21 @@ class Server
 
   private:
     struct BatchCost;
-    /** The shared virtual event machine behind serve()/serve_closed()
-     *  (batchers, caches, admission, dispatch, profiler); defined in
-     *  server.cpp, driven only by the sequencer thread. */
+    /** The virtual event machine (batchers, caches, admission,
+     *  dispatch, profiler); defined in server.cpp, driven only by the
+     *  sequencer thread of run(). */
     struct Engine;
+    /** What happens between arrivals — the only policy serve() and
+     *  serve_closed() differ in; defined in server.cpp. */
+    struct ArrivalSource;
+
+    /**
+     * The one serve driver behind serve() and serve_closed(): sampler
+     * workers pre-sample every request of @p source in id order, one
+     * sequencer thread feeds @p source's arrivals to the Engine, and
+     * the shutdown hook, first-error rethrow and finalize are shared.
+     */
+    std::vector<InferenceResponse> run(const ArrivalSource &source);
 
     /** One hosted tier's resolved runtime state. */
     struct Tier

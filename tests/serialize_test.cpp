@@ -89,6 +89,28 @@ TEST(Serialize, LoadRejectsTruncatedFile)
     std::remove(path.c_str());
 }
 
+TEST(Serialize, LoadRejectsCountLargerThanFile)
+{
+    // A valid graph magic followed by an element count of 2^33: the
+    // count must be checked against the bytes left before anything is
+    // allocated for it.
+    const std::string path = temp_path("hostile");
+    ASSERT_TRUE(graph::save_graph(graph::CsrGraph({0, 1}, {0}), path));
+    uint64_t header[2] = {0, uint64_t(1) << 33};
+    FILE *f = fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fread(&header[0], sizeof(uint64_t), 1, f), 1u);
+    fclose(f);
+    f = fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fwrite(header, sizeof(header), 1, f), 1u);
+    fclose(f);
+
+    graph::CsrGraph graph;
+    EXPECT_FALSE(graph::load_graph(graph, path));
+    std::remove(path.c_str());
+}
+
 TEST(Serialize, DatasetRoundTripPreservesEverything)
 {
     graph::ReplicaOptions ropts;

@@ -465,34 +465,64 @@ TEST(Serve, FeatureCacheReducesPcieTraffic)
 // Server: lifecycle
 // ---------------------------------------------------------------------
 
+/** Closed-loop script over the same population and SLO as make_trace. */
+serve::ClosedLoopScript
+make_closed_script(const serve::Server &server, int clients,
+                   int64_t per_client, double think = 0.2e-3,
+                   double slo = 50e-3)
+{
+    serve::LoadGeneratorOptions lopts;
+    lopts.num_requests = clients * per_client;
+    lopts.slo_deadline = slo;
+    lopts.seed = 13;
+    serve::LoadGenerator gen(server.popularity(), lopts);
+    serve::ClosedLoopOptions copts;
+    copts.num_clients = clients;
+    copts.requests_per_client = per_client;
+    copts.think_time = think;
+    return gen.generate_closed(copts);
+}
+
+// Both lifecycle tests drive the open loop (serve) and the closed loop
+// (serve_closed): the two share one worker/sequencer/shutdown path.
+
 TEST(Serve, RequestStopMidFlightReturnsPrefixWithoutDeadlock)
 {
-    auto opts = base_server_options();
-    opts.worker_threads = 4;
-    serve::Server *handle = nullptr;
-    std::atomic<int> sampled{0};
-    opts.sample_hook = [&](int64_t) {
-        if (sampled.fetch_add(1) == 32)
-            handle->request_stop();
-    };
-    serve::Server server(products(), opts);
-    handle = &server;
-    const auto trace = make_trace(server, 5000.0, 512);
+    for (bool closed : {false, true}) {
+        SCOPED_TRACE(closed ? "closed loop" : "open loop");
+        auto opts = base_server_options();
+        opts.worker_threads = 4;
+        serve::Server *handle = nullptr;
+        std::atomic<int> sampled{0};
+        opts.sample_hook = [&](int64_t) {
+            if (sampled.fetch_add(1) == 32)
+                handle->request_stop();
+        };
+        serve::Server server(products(), opts);
+        handle = &server;
+        const auto trace = make_trace(server, 5000.0, 512);
+        const auto script = make_closed_script(server, 8, 64);
+        auto run = [&] {
+            return closed ? server.serve_closed(script)
+                          : server.serve(trace);
+        };
 
-    const auto responses = server.serve(trace); // must return, not hang
-    const serve::ServingStats st = server.last_stats();
-    EXPECT_TRUE(st.stopped_early);
-    EXPECT_TRUE(server.stop_requested());
-    EXPECT_LT(st.offered, 512);
-    ASSERT_EQ(responses.size(), 512u);
-    // The unprocessed suffix is marked as such.
-    EXPECT_EQ(responses.back().outcome, serve::Outcome::kUnprocessed);
+        const auto responses = run(); // must return, not hang
+        const serve::ServingStats st = server.last_stats();
+        EXPECT_TRUE(st.stopped_early);
+        EXPECT_TRUE(server.stop_requested());
+        EXPECT_LT(st.offered, 512);
+        ASSERT_EQ(responses.size(), 512u);
+        // The unprocessed suffix is marked as such.
+        EXPECT_EQ(responses.back().outcome,
+                  serve::Outcome::kUnprocessed);
 
-    // A fresh serve() after the stop runs to completion.
-    sampled.store(1 << 20);
-    server.serve(trace);
-    EXPECT_FALSE(server.last_stats().stopped_early);
-    EXPECT_EQ(server.last_stats().offered, 512);
+        // A fresh run after the stop runs to completion.
+        sampled.store(1 << 20);
+        run();
+        EXPECT_FALSE(server.last_stats().stopped_early);
+        EXPECT_EQ(server.last_stats().offered, 512);
+    }
 }
 
 TEST(Serve, WorkerExceptionPropagatesToCaller)
@@ -506,6 +536,8 @@ TEST(Serve, WorkerExceptionPropagatesToCaller)
     serve::Server server(products(), opts);
     const auto trace = make_trace(server, 5000.0, 128);
     EXPECT_THROW(server.serve(trace), std::runtime_error);
+    const auto script = make_closed_script(server, 8, 16);
+    EXPECT_THROW(server.serve_closed(script), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -878,6 +910,21 @@ TEST(ServeGolden, OpenLoopSingleTierAtAnyWidth)
     }
 }
 
+TEST(ServeGolden, QueueDepthOneLeavesFingerprintsUnchanged)
+{
+    // Depth-1 queues with 8 workers make deliveries arrive far out of
+    // order relative to the sequencer; the subgraph ring must grow and
+    // re-home without moving a single decision, on both loops.
+    auto opts = base_server_options();
+    opts.worker_threads = 8;
+    opts.queue_depth = 1;
+    serve::Server server(products(), opts);
+    server.serve(make_trace(server, 3000.0, 384));
+    EXPECT_EQ(server.last_stats().fingerprint, kGoldenOpenSingleTier);
+    server.serve_closed(make_closed_script(server, 32, 12, 0.5e-3, 20e-3));
+    EXPECT_EQ(server.last_stats().fingerprint, kGoldenClosedLoop32);
+}
+
 TEST(ServeGolden, TwoTierOverloadDrrAtAnyWidth)
 {
     // The multimodel bench's cold rows: GCN + GAT on one device, a
@@ -956,16 +1003,7 @@ TEST(ServeGolden, ClosedLoopThirtyTwoClients)
     auto opts = base_server_options();
     opts.worker_threads = 4;
     serve::Server server(products(), opts);
-    serve::LoadGeneratorOptions lopts;
-    lopts.num_requests = 32 * 12;
-    lopts.slo_deadline = 20e-3;
-    lopts.seed = 13;
-    serve::LoadGenerator gen(server.popularity(), lopts);
-    serve::ClosedLoopOptions copts;
-    copts.num_clients = 32;
-    copts.requests_per_client = 12;
-    copts.think_time = 0.5e-3;
-    server.serve_closed(gen.generate_closed(copts));
+    server.serve_closed(make_closed_script(server, 32, 12, 0.5e-3, 20e-3));
     const serve::ServingStats &st = server.last_stats();
     EXPECT_EQ(st.closed_loop_clients, 32);
     EXPECT_EQ(st.offered, 32 * 12);

@@ -5,7 +5,9 @@
 # "fails" forever even though the tree is fine.
 #
 # Usage:
-#   tools/ci.sh                 # warnings-as-errors build + full ctest
+#   tools/ci.sh                 # warnings-as-errors build + full ctest,
+#                               # then the full ctest again under
+#                               # AddressSanitizer + UBSan
 #   FASTGL_TSAN=1 tools/ci.sh   # additionally run the concurrency
 #                               # suite under ThreadSanitizer
 #
@@ -29,6 +31,16 @@ run_config() {
 echo "==> primary configuration (tests built with -Werror)"
 run_config build-ci -DFASTGL_TEST_WERROR=ON
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
+
+# Memory and undefined-behaviour check of the whole suite: one
+# -fsanitize=address,undefined configuration, every ctest entry.
+# halt_on_error makes a UBSan report fail its test instead of only
+# printing.
+echo "==> AddressSanitizer + UBSan configuration (full suite)"
+run_config build-asan -DFASTGL_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 # Docs-consistency check: Doxygen in warnings-as-errors mode over the
 # serve + compute + prof headers (docs/Doxyfile-ci), so @param lists

@@ -18,8 +18,10 @@
  *   fastgl_cli info  --dataset mag
  */
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -61,11 +63,37 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
-    int64_t
-    get_int(const std::string &key, int64_t fallback) const
+    /**
+     * Numeric flag @p key, or @p fallback when absent. Every numeric
+     * flag goes through here: a value that does not parse in full as
+     * a T, or is below @p min, is a usage error and exits non-zero.
+     */
+    template <typename T>
+    T
+    get_number(const std::string &key, T fallback,
+               T min = std::numeric_limits<T>::lowest()) const
     {
         auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stoll(it->second);
+        if (it == values_.end())
+            return fallback;
+        const std::string &text = it->second;
+        T value{};
+        const char *end = text.data() + text.size();
+        const auto parsed = std::from_chars(text.data(), end, value);
+        if (parsed.ec != std::errc() || parsed.ptr != end)
+            util::fatal("--" + key + " expects a number, got '" + text +
+                        "' (see --help)");
+        if (value < min)
+            util::fatal("--" + key + " must be >= " +
+                        std::to_string(min) + ", got " + text);
+        return value;
+    }
+
+    int64_t
+    get_int(const std::string &key, int64_t fallback,
+            int64_t min = std::numeric_limits<int64_t>::lowest()) const
+    {
+        return get_number<int64_t>(key, fallback, min);
     }
 
   private:
@@ -163,9 +191,9 @@ parse_storage_opts(const Args &args, const graph::Dataset &ds)
 {
     store::TieredStoreOptions storage;
     storage.storage = parse_storage(args.get("storage", "none"));
-    const std::string gb = args.get("host-mem-gb", "");
-    if (!gb.empty()) {
-        const double bytes = std::stod(gb) * double(uint64_t(1) << 30);
+    if (args.has("host-mem-gb")) {
+        const double bytes = args.get_number("host-mem-gb", 0.0) *
+                             double(uint64_t(1) << 30);
         storage.host_mem_rows = std::max<int64_t>(
             0, int64_t(bytes / double(ds.features.row_bytes())));
     }
@@ -405,7 +433,7 @@ run_model(const Args &args)
     core::PipelineOptions opts;
     opts.fw = core::framework_preset(
         parse_framework(args.get("framework", "fastgl")));
-    opts.num_gpus = int(args.get_int("gpus", 2));
+    opts.num_gpus = int(args.get_int("gpus", 2, 1));
     opts.num_machines = int(args.get_int("machines", 1));
     opts.model.type = parse_model(args.get("model", "gcn"));
     opts.batch_size = args.get_int("batch", 0);
@@ -456,7 +484,7 @@ run_train(const Args &args)
         core::framework_preset(core::Framework::kFastGL)
             .compute_threads));
     opts.seed = uint64_t(args.get_int("seed", 3407));
-    opts.num_gpus = int(args.get_int("gpus", 1));
+    opts.num_gpus = int(args.get_int("gpus", 1, 1));
     opts.partitioner = parse_partitioner(args.get("partitioner", "ldg"));
     // The shards need a cache budget: default one in when --gpus asks
     // for the accounting pass but no --cache-pct was given.
@@ -568,7 +596,7 @@ run_serve(const Args &args)
     sopts.embedding.capacity_rows = args.get_int("embed-rows", -1);
     sopts.compute_logits = args.get_int("logits", 0) != 0;
     sopts.compute_threads = int(args.get_int("compute-threads", 1));
-    sopts.num_gpus = int(args.get_int("gpus", 1));
+    sopts.num_gpus = int(args.get_int("gpus", 1, 1));
     sopts.partitioner =
         parse_partitioner(args.get("partitioner", "ldg"));
     const std::string shard = args.get("shard", "sharded");
