@@ -414,40 +414,20 @@ AsyncPipeline::run_epoch()
     // carries the *exposed* transfer time (io minus the part FastGL's
     // topology prefetch hid behind compute).
     if (async_.profiler && async_.profiler->enabled()) {
-        prof::Profiler &recorder = *async_.profiler;
         double makespan = 0.0;
         for (int g = 0; g < total; ++g) {
-            double sampler_free = 0.0;
-            double gather_free = 0.0;
-            double compute_free = 0.0;
+            prof::StageReplay replay(*async_.profiler, g);
             for (const Pipeline::BatchRecord &rec :
-                 records[static_cast<size_t>(g)]) {
-                const double sample_end = sampler_free + rec.sample;
-                sampler_free = sample_end;
-                const double exposed_io =
-                    rec.id_map + rec.io - rec.io_overlapped;
-                const double gather_start =
-                    std::max(sample_end, gather_free);
-                const double gather_end = gather_start + exposed_io;
-                gather_free = gather_end;
-                const double compute_start =
-                    std::max(gather_end, compute_free);
-                const double free_before = compute_free;
-                compute_free = compute_start + rec.compute;
-                recorder.record(prof::Stage::kSampler, 0.0, rec.sample,
-                            rec.instances);
-                recorder.record(prof::Stage::kGather,
-                            gather_start - sample_end, exposed_io,
-                            rec.uniques);
-                recorder.record(prof::Stage::kCompute,
-                            compute_start - gather_end, rec.compute,
-                            rec.instances);
-                recorder.record_device(g, compute_start - free_before,
-                                   rec.compute, compute_free);
-            }
-            makespan = std::max(makespan, compute_free);
+                 records[static_cast<size_t>(g)])
+                replay.add({.sample = rec.sample,
+                            .id_map = rec.id_map,
+                            .io = rec.io - rec.io_overlapped,
+                            .compute = rec.compute,
+                            .items = rec.instances,
+                            .rows = rec.uniques});
+            makespan = std::max(makespan, replay.makespan());
         }
-        recorder.set_makespan(makespan);
+        async_.profiler->set_makespan(makespan);
     }
     return pipeline_.finalize_epoch(records, plan.num_batches);
 }

@@ -8,7 +8,7 @@
  *
  * Two clocks coexist:
  *  - the *modelled* clock (EpochResult/PhaseBreakdown seconds from
- *    sim::KernelModel / sim::PcieLink) is bit-identical to the sequential
+ *    sim::KernelModel) is bit-identical to the sequential
  *    Pipeline for the same PipelineOptions seed, no matter how many
  *    threads run — every batch samples from its own derived RNG stream
  *    (util::derive_seed) and the per-GPU Match/Reorder chain is replayed

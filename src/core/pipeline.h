@@ -6,7 +6,7 @@
  *
  * This is the engine behind every end-to-end figure in the paper (Figs. 3,
  * 9, 10, 13, 14, 15): the sampling, hashing, matching and caching all
- * really execute; the seconds come from sim::KernelModel / sim::PcieLink.
+ * really execute; the seconds come from sim::KernelModel.
  */
 #pragma once
 
@@ -224,8 +224,8 @@ class Pipeline
     sim::KernelModel kernels_;
     compute::ComputeCostModel cost_model_;
     sample::BatchSplitter splitter_;
-    std::unique_ptr<sample::NeighborSampler> sampler_;
-    std::unique_ptr<sample::RandomWalkSampler> walk_sampler_;
+    /** The sequential path's sampler (after opts_ and splitter_). */
+    ThreadSampler sampler_;
     std::optional<match::StaticFeatureCache> cache_;
     int64_t cache_rows_ = 0;
     int trainers_ = 1;

@@ -168,19 +168,15 @@ Trainer::train_epoch()
         stats.node_frequencies.assign(
             static_cast<size_t>(dataset_.graph.num_nodes()), 0);
     double loss_sum = 0.0, acc_sum = 0.0;
-    // Per-stage profiling: replay each batch through a virtual
-    // three-stage pipeline (sampler -> gather -> compute) clocked with
-    // the same modelled quantities the cost model produces. Each stage
-    // starts no earlier than its input is ready and no earlier than
-    // its previous batch finished, so the recorded queue waits are the
-    // pipeline's genuine inter-stage stalls. Observation only — the
-    // profiler never feeds anything back into the epoch loop.
+    // Per-stage profiling: replay each batch's charged phases through
+    // a virtual sampler -> gather -> compute pipeline. Observation
+    // only — the profiler never feeds anything back into the epoch
+    // loop.
     prof::Profiler profiler(opts_.profile);
-    const sim::GpuSpec prof_spec = sim::rtx3090();
-    const sim::KernelModel prof_kernels(prof_spec);
-    double prof_sampler_free = 0.0;
-    double prof_gather_free = 0.0;
-    double prof_compute_free = 0.0;
+    prof::StageReplay replay(profiler, 0);
+    const sim::KernelModel kernels(sim::rtx3090());
+    const uint64_t row_bytes = dataset_.features.row_bytes();
+    const bool storage_tier = tiered_store_ && tiered_store_->active();
     // Sampler lookahead for the storage prefetcher: batches are still
     // sampled strictly in order 0,1,2,... (every RNG stream untouched),
     // but up to prefetch_depth of them sit in this buffer before being
@@ -188,9 +184,8 @@ Trainer::train_epoch()
     // so their node sets can prefetch storage blocks early.
     std::deque<sample::SampledSubgraph> lookahead;
     int64_t next_to_sample = 0;
-    const int64_t depth = (tiered_store_ && tiered_store_->active())
-                              ? std::max(0, opts_.storage.prefetch_depth)
-                              : 0;
+    const int64_t depth =
+        storage_tier ? std::max(0, opts_.storage.prefetch_depth) : 0;
     for (int64_t b = 0; b < num_batches; ++b) {
         const int64_t horizon = std::min(b + depth, num_batches - 1);
         while (next_to_sample <= horizon) {
@@ -211,103 +206,34 @@ Trainer::train_epoch()
         const double batch_compute_s =
             cost_model_.training_step(opts_.model, sg).total();
         stats.modelled_compute_seconds += batch_compute_s;
-        const double stall_before = stats.storage_stall_seconds;
-        if (sharded_features_ && !sg.nodes.empty()) {
-            // Batch affinity: the device owning the first seed's
-            // partition runs the batch; rows on peer shards charge
-            // the modelled interconnect.
-            const int dev =
-                partitioning_.part_of[static_cast<size_t>(
-                    sg.nodes[0])] %
-                opts_.num_gpus;
-            const match::ShardLookup sl =
-                sharded_features_->lookup_batch(dev, sg.nodes);
-            const uint64_t row_bytes = dataset_.features.row_bytes();
-            for (int src = 0; src < opts_.num_gpus; ++src) {
-                const int64_t rows = sl.remote_rows_by_device
-                                         [static_cast<size_t>(src)];
-                if (rows > 0)
-                    topo_->transfer(src, dev,
-                                    static_cast<uint64_t>(rows) *
-                                        row_bytes);
-            }
-            if (tiered_store_ && tiered_store_->active()) {
-                // Misses that also miss host DRAM pay a storage read;
-                // rows owned by a peer device additionally re-cross
-                // the interconnect to reach the device running the
-                // batch (one transfer per source device).
-                stats.storage_stall_seconds +=
-                    tiered_store_->charge_miss_rows(sl.miss_nodes);
-                std::vector<int64_t> storage_rows(
-                    static_cast<size_t>(opts_.num_gpus), 0);
-                for (graph::NodeId u : sl.miss_nodes) {
-                    if (tiered_store_->host_resident(u))
-                        continue;
-                    const int owner =
-                        sharded_features_->owner_device(u);
-                    if (owner != dev)
-                        ++storage_rows[static_cast<size_t>(owner)];
-                }
-                for (int src = 0; src < opts_.num_gpus; ++src) {
-                    const int64_t rows =
-                        storage_rows[static_cast<size_t>(src)];
-                    if (rows > 0)
-                        topo_->transfer(src, dev,
-                                        static_cast<uint64_t>(rows) *
-                                            row_bytes);
-                }
-            }
-        }
-        if (tiered_store_ && tiered_store_->active()) {
-            // Demand charge for the batch being gathered now (the
-            // sharded path charged its own miss rows above), then
-            // retire it from the prefetch window.
-            if (!sharded_features_)
-                stats.storage_stall_seconds +=
-                    tiered_store_->charge_batch(sg.nodes);
+        // Batch affinity: the device owning the first seed's partition
+        // runs the batch; rows on peer shards charge the interconnect,
+        // rows below host DRAM the storage tier.
+        const int dev = sharded_features_ && !sg.nodes.empty()
+                            ? sharded_features_->owner_device(sg.nodes[0])
+                            : 0;
+        const store::RowCharge charge = store::charge_batch_rows(
+            {feature_cache_.get(), sharded_features_.get(), topo_.get(),
+             tiered_store_.get(), row_bytes},
+            dev, sg.nodes);
+        stats.storage_stall_seconds += charge.storage_s;
+        if (storage_tier)
             tiered_store_->complete_batch(b);
-        }
-        if (opts_.profile) {
-            const int64_t rows =
-                static_cast<int64_t>(sg.nodes.size());
-            const uint64_t row_bytes = dataset_.features.row_bytes();
-            const uint64_t bytes =
-                static_cast<uint64_t>(rows) * row_bytes;
-            const double sample_s =
-                prof_kernels.sample_gpu(sg.edges_examined);
-            const double stall_s =
-                stats.storage_stall_seconds - stall_before;
-            const double gather_s =
-                prof_spec.pcie_latency +
-                static_cast<double>(bytes) / prof_spec.pcie_bw +
-                static_cast<double>(bytes) /
-                    prof_spec.host_gather_bw +
-                stall_s;
-            const double sample_end = prof_sampler_free + sample_s;
-            prof_sampler_free = sample_end;
-            const double gather_start =
-                std::max(sample_end, prof_gather_free);
-            const double gather_end = gather_start + gather_s;
-            prof_gather_free = gather_end;
-            const double compute_start =
-                std::max(gather_end, prof_compute_free);
-            const double device_free_before = prof_compute_free;
-            prof_compute_free = compute_start + batch_compute_s;
-            profiler.record(prof::Stage::kSampler, 0.0, sample_s,
-                            rows);
-            profiler.record(prof::Stage::kGather,
-                            gather_start - sample_end, gather_s,
-                            rows);
-            profiler.record(prof::Stage::kCompute,
-                            compute_start - gather_end,
-                            batch_compute_s, sg.num_seeds);
-            if (tiered_store_ && tiered_store_->active())
-                profiler.record(prof::Stage::kStorage, 0.0, stall_s,
-                                1);
-            profiler.record_device(
-                0, compute_start - device_free_before,
-                batch_compute_s, prof_compute_free);
-        }
+
+        const uint64_t feature_bytes =
+            static_cast<uint64_t>(charge.misses) * row_bytes;
+        replay.add({.sample = kernels.sample_gpu(sg.edges_examined),
+                    .id_map = kernels.id_map_fused(sg.id_map),
+                    .io = kernels.host_transfer(
+                              feature_bytes + sg.topology_bytes(),
+                              feature_bytes) +
+                          charge.peer_s + charge.storage_s,
+                    .storage = charge.storage_s,
+                    .compute = batch_compute_s,
+                    .items = sg.num_seeds,
+                    .rows = static_cast<int64_t>(sg.nodes.size()),
+                    .misses = charge.misses,
+                    .storage_tier = storage_tier});
         compute::Tensor x = gather_features(sg);
         if (opts_.input_dropout > 0.0f)
             apply_input_dropout(x);
@@ -348,7 +274,7 @@ Trainer::train_epoch()
         stats.store = tiered_store_->stats();
     stats.modelled_epoch_seconds =
         stats.modelled_compute_seconds + stats.storage_stall_seconds;
-    profiler.set_makespan(prof_compute_free);
+    profiler.set_makespan(replay.makespan());
     stats.profile = profiler.report();
     return stats;
 }
@@ -397,20 +323,7 @@ Trainer::evaluate_nodes(std::span<const graph::NodeId> nodes,
 double
 Trainer::evaluate(int64_t max_batches)
 {
-    int64_t num_batches = splitter_.num_batches();
-    if (max_batches > 0)
-        num_batches = std::min(num_batches, max_batches);
-    double acc_sum = 0.0;
-    for (int64_t b = 0; b < num_batches; ++b) {
-        sample::SampledSubgraph sg =
-            sampler_->sample(splitter_.batch(b));
-        compute::Tensor x = gather_features(sg);
-        compute::Tensor logits = model_->forward(sg, x);
-        const std::vector<int> labels = seed_labels(sg);
-        acc_sum +=
-            compute::softmax_cross_entropy(logits, labels).accuracy;
-    }
-    return acc_sum / double(num_batches);
+    return evaluate_nodes(splitter_.nodes(), max_batches);
 }
 
 } // namespace core

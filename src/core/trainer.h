@@ -99,7 +99,7 @@ struct TrainerOptions
     /**
      * Per-stage profiling (fastgl::prof): replay the epoch's batches
      * through a virtual sampler -> gather -> compute pipeline (the
-     * same modelled quantities the cost model already produces) and
+     * phases its batch-cost path charged; prof::StageReplay) and
      * report queue waits, service percentiles, and device busy/idle
      * accounting in TrainEpochStats::profile. Pure observation: the
      * training trajectory — every RNG stream, loss, and parameter —
@@ -187,7 +187,9 @@ class Trainer
         return *gather_engine_;
     }
 
-    /** Feature cache built by feature_cache_ratio (null when off). */
+    /** Feature cache built by feature_cache_ratio (null when off). Its
+     *  hit/miss counters see each batch twice: the fused gather and the
+     *  batch-cost lookup both record into them. */
     const match::StaticFeatureCache *feature_cache() const
     {
         return feature_cache_.get();

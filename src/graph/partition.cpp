@@ -6,6 +6,7 @@
 #include <numeric>
 #include <queue>
 
+#include "graph/serialize.h"
 #include "util/logging.h"
 
 namespace fastgl {
@@ -200,6 +201,12 @@ load_partitioning(const std::string &path)
             3 ||
         std::string(magic) != kPartitionMagic || num_parts < 1) {
         util::warn("not a partitioning: " + path);
+        std::fclose(f);
+        return parts;
+    }
+    // Every entry takes at least a separator and a digit.
+    if (num_nodes > bytes_left(f) / 2) {
+        util::warn("partitioning count exceeds its file: " + path);
         std::fclose(f);
         return parts;
     }

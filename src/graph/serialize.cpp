@@ -52,19 +52,6 @@ write_vector(std::FILE *file, const std::vector<T> &data)
            data.size();
 }
 
-/** Bytes between the read position of @p file and its end. */
-uint64_t
-bytes_left(std::FILE *file)
-{
-    const long at = std::ftell(file);
-    if (at < 0 || std::fseek(file, 0, SEEK_END) != 0)
-        return 0;
-    const long end = std::ftell(file);
-    if (std::fseek(file, at, SEEK_SET) != 0 || end < at)
-        return 0;
-    return static_cast<uint64_t>(end - at);
-}
-
 template <typename T>
 bool
 read_vector(std::FILE *file, std::vector<T> &data)
@@ -72,9 +59,6 @@ read_vector(std::FILE *file, std::vector<T> &data)
     uint64_t count = 0;
     if (!read_pod(file, count))
         return false;
-    // A file-supplied count is only trusted as far as the file can
-    // back it: a corrupt or hostile header must fail the load, not
-    // abort it in resize() with bad_alloc.
     if (count > bytes_left(file) / sizeof(T))
         return false;
     data.resize(static_cast<size_t>(count));
@@ -109,6 +93,18 @@ read_graph_body(std::FILE *file, CsrGraph &graph)
 }
 
 } // namespace
+
+uint64_t
+bytes_left(std::FILE *file)
+{
+    const long at = std::ftell(file);
+    if (at < 0 || std::fseek(file, 0, SEEK_END) != 0)
+        return 0;
+    const long end = std::ftell(file);
+    if (std::fseek(file, at, SEEK_SET) != 0 || end < at)
+        return 0;
+    return static_cast<uint64_t>(end - at);
+}
 
 bool
 save_graph(const CsrGraph &graph, const std::string &path)

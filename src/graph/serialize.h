@@ -10,6 +10,8 @@
  */
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "graph/csr_graph.h"
@@ -17,6 +19,14 @@
 
 namespace fastgl {
 namespace graph {
+
+/**
+ * Bytes between the read position of @p file and its end (0 when the
+ * file is not seekable). Loaders trust a file-supplied count only as
+ * far as these bytes can back it: a corrupt or hostile header must fail
+ * the load, not abort it with bad_alloc.
+ */
+uint64_t bytes_left(std::FILE *file);
 
 /** Write @p graph to @p path. @return false on IO failure. */
 bool save_graph(const CsrGraph &graph, const std::string &path);

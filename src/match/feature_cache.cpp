@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "graph/serialize.h"
 #include "util/logging.h"
 
 namespace fastgl {
@@ -117,6 +118,12 @@ load_warmup_trace(const std::string &path)
     if (std::fscanf(f, "%31s %zu", magic, &n) != 2 ||
         std::string(magic) != kWarmupMagic) {
         util::warn("not a warmup trace: " + path);
+        std::fclose(f);
+        return trace;
+    }
+    // Every entry takes at least a separator and a digit.
+    if (n > graph::bytes_left(f) / 2) {
+        util::warn("warmup trace count exceeds its file: " + path);
         std::fclose(f);
         return trace;
     }

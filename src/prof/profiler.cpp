@@ -1,5 +1,6 @@
 #include "prof/profiler.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "util/fingerprint.h"
@@ -144,6 +145,36 @@ Profiler::record(Stage stage, double queue_wait, double service,
     s.queue_wait.add(queue_wait);
     s.service.add(service);
     s.busy_seconds += service;
+}
+
+void
+Profiler::record_batch(const BatchPhases &batch, double gather_wait,
+                       double compute_wait)
+{
+    record(Stage::kSampler, 0.0, batch.sample + batch.id_map,
+           batch.items);
+    record(Stage::kGather, gather_wait, batch.io, batch.rows);
+    record(Stage::kCompute, compute_wait, batch.compute, batch.items);
+    if (batch.storage_tier)
+        record(Stage::kStorage, 0.0, batch.storage, batch.misses);
+}
+
+void
+StageReplay::add(const BatchPhases &batch)
+{
+    const double sample_end =
+        sampler_free_ + (batch.sample + batch.id_map);
+    sampler_free_ = sample_end;
+    const double gather_start = std::max(sample_end, gather_free_);
+    const double gather_end = gather_start + batch.io;
+    gather_free_ = gather_end;
+    const double compute_start = std::max(gather_end, compute_free_);
+    const double free_before = compute_free_;
+    compute_free_ = compute_start + batch.compute;
+    profiler_.record_batch(batch, gather_start - sample_end,
+                           compute_start - gather_end);
+    profiler_.record_device(device_, compute_start - free_before,
+                            batch.compute, compute_free_);
 }
 
 void

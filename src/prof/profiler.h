@@ -156,6 +156,27 @@ struct ProfileReport
 };
 
 /**
+ * One batch's modelled seconds as its cost path charged them, plus the
+ * payload each stage carried. Trainer, AsyncPipeline and Server all
+ * hand the profiler this one decomposition, and Profiler::record_batch
+ * maps it onto stages the same way for each of them.
+ */
+struct BatchPhases
+{
+    double sample = 0.0;  ///< Subgraph sampling.
+    double id_map = 0.0;  ///< Global->local ID map.
+    /** Exposed host->device io: transfer plus peer and storage. */
+    double io = 0.0;
+    double storage = 0.0; ///< Out-of-core stall inside io.
+    double compute = 0.0; ///< Modelled device compute.
+    int64_t items = 1;    ///< Sampler/compute payload (seeds, requests).
+    int64_t rows = 0;     ///< Gather payload: distinct feature rows.
+    int64_t misses = 0;   ///< Storage payload: rows no cache held.
+    /** The batch ran above an active out-of-core tier. */
+    bool storage_tier = false;
+};
+
+/**
  * The recorder. Construct enabled or disabled; a disabled profiler is
  * a no-op on every record call (and report() returns an empty,
  * disabled ProfileReport), so call sites never need their own guards
@@ -179,6 +200,16 @@ class Profiler
      */
     void record(Stage stage, double queue_wait, double service,
                 int64_t occupancy = 1);
+
+    /**
+     * Record one batch through the one stage mapping: sampler = sample
+     * + id_map, gather = io (peer and storage included), compute =
+     * compute, plus the storage stage when the batch ran above an
+     * out-of-core tier. The gather and compute stages waited
+     * @p gather_wait and @p compute_wait virtual seconds.
+     */
+    void record_batch(const BatchPhases &batch, double gather_wait,
+                      double compute_wait);
 
     /** Record a queue-depth shed attributed to @p stage. */
     void count_shed(Stage stage);
@@ -222,6 +253,33 @@ class Profiler
     std::vector<std::string> tier_names_;
     std::vector<DeviceProfile> devices_;
     double device_busy_seconds_ = 0.0;
+};
+
+/**
+ * Replays one device's training batches through a virtual sampler ->
+ * gather -> compute pipeline. Each stage starts no earlier than its
+ * input is ready and no earlier than its previous batch finished, so
+ * the recorded queue waits are the pipeline's inter-stage stalls.
+ */
+class StageReplay
+{
+  public:
+    StageReplay(Profiler &profiler, int device)
+        : profiler_(profiler), device_(device)
+    {}
+
+    /** Replay the next batch (record_batch plus the device row). */
+    void add(const BatchPhases &batch);
+
+    /** Virtual time the device finished its last batch. */
+    double makespan() const { return compute_free_; }
+
+  private:
+    Profiler &profiler_;
+    int device_ = 0;
+    double sampler_free_ = 0.0;
+    double gather_free_ = 0.0;
+    double compute_free_ = 0.0;
 };
 
 } // namespace prof

@@ -36,6 +36,9 @@ class BatchSplitter
     /** The @p index-th batch of the current epoch. */
     std::span<const graph::NodeId> batch(int64_t index) const;
 
+    /** The current epoch's order; batch i is its i-th slice. */
+    std::span<const graph::NodeId> nodes() const { return nodes_; }
+
     int64_t batch_size() const { return batch_size_; }
     int64_t num_nodes() const { return int64_t(nodes_.size()); }
 

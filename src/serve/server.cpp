@@ -115,21 +115,6 @@ class SubgraphFetcher
 
 } // namespace
 
-struct Server::BatchCost
-{
-    double service = 0.0;  ///< Modelled seconds the device is busy.
-    int64_t uniques = 0;   ///< Distinct nodes after batch dedup.
-    int64_t misses = 0;    ///< Feature rows that crossed PCIe.
-    // --- Component decomposition of `service` (profiler feed). The
-    // --- sum sample_s + id_map_s + io_s + compute_s reproduces
-    // --- `service` bit-exactly (same addition order).
-    double sample_s = 0.0; ///< Sampling term (0 with a sampler pool).
-    double id_map_s = 0.0; ///< Fused-Map batch dedup term.
-    double io_s = 0.0;     ///< PCIe + gather + peer + storage term.
-    double compute_s = 0.0;///< Dedup-credited forward term.
-    double storage_s = 0.0;///< Out-of-core stall inside io_s.
-};
-
 /**
  * What happens between arrivals: the one policy open- and closed-loop
  * serving differ in. Server::run pre-samples `requests` in id order
@@ -311,7 +296,7 @@ Server::home_device(graph::NodeId node) const
            num_gpus_;
 }
 
-Server::BatchCost
+prof::BatchPhases
 Server::cost_batch(size_t tier, int device,
                    const std::vector<PendingRequest> &batch)
 {
@@ -326,107 +311,59 @@ Server::cost_batch(size_t tier, int device,
     // requests share is gathered and shipped once.
     const compute::ModelConfig &model = tiers_[tier].config.model;
     int64_t instances = 0;
-    int64_t uniq_sum = 0;
     int64_t edges = 0;
     uint64_t topo_bytes = 0;
     double compute_sum = 0.0;
     for (const PendingRequest &pr : batch) {
         table_.insert_stream(pr.subgraph.nodes);
         instances += pr.subgraph.num_nodes();
-        uniq_sum += pr.subgraph.num_nodes();
         edges += pr.subgraph.edges_examined;
         topo_bytes += pr.subgraph.topology_bytes();
         const compute::ComputeCost cc =
             cost_model_.training_step(model, pr.subgraph);
         compute_sum += cc.forward + cc.preprocess;
     }
-    BatchCost cost;
-    cost.uniques = table_.size();
+    prof::BatchPhases cost;
+    cost.items = static_cast<int64_t>(batch.size());
+    cost.rows = table_.size();
 
     // --- Modelled phases, all from measured counts ---
-    const double sample_s = kernels_.sample_gpu(edges);
+    // With a modelled sampler pool the sampling time was charged
+    // per-request at the pool, so the batch excludes it.
+    cost.sample = opts_.modelled_samplers > 0
+                      ? 0.0
+                      : kernels_.sample_gpu(edges);
     sim::IdMapWorkload idw;
     idw.instances = instances;
-    idw.uniques = cost.uniques;
+    idw.uniques = cost.rows;
     idw.probes =
         static_cast<int64_t>(table_.probes() - probes_before);
-    const double id_map_s = kernels_.id_map_fused(idw);
+    cost.id_map = kernels_.id_map_fused(idw);
 
     const std::vector<graph::NodeId> unique_nodes =
         table_.local_to_global();
     const uint64_t row_bytes = dataset_.features.row_bytes();
-    double peer_s = 0.0;
-    double storage_s = 0.0;
-    if (sharded_features_) {
-        const match::ShardLookup sl =
-            sharded_features_->lookup_batch(device, unique_nodes);
-        cost.misses = sl.misses;
-        // Rows resident on a peer device's shard cross the modelled
-        // interconnect instead of the host PCIe link.
-        for (int src = 0; src < num_gpus_; ++src) {
-            const int64_t rows =
-                sl.remote_rows_by_device[static_cast<size_t>(src)];
-            if (rows > 0)
-                peer_s += topo_->transfer(
-                    src, device,
-                    static_cast<uint64_t>(rows) * row_bytes);
-        }
-        if (tiered_store_ && tiered_store_->active()) {
-            // Shard misses that also miss host DRAM pay a storage
-            // read, plus the interconnect when the row's owner is a
-            // peer device (the read lands on the owner's partition).
-            storage_s +=
-                tiered_store_->charge_miss_rows(sl.miss_nodes);
-            std::vector<int64_t> rows_by_owner(
-                static_cast<size_t>(num_gpus_), 0);
-            for (graph::NodeId u : sl.miss_nodes) {
-                if (tiered_store_->host_resident(u))
-                    continue;
-                const int owner = sharded_features_->owner_device(u);
-                if (owner != device)
-                    ++rows_by_owner[static_cast<size_t>(owner)];
-            }
-            for (int src = 0; src < num_gpus_; ++src) {
-                const int64_t rows =
-                    rows_by_owner[static_cast<size_t>(src)];
-                if (rows > 0)
-                    peer_s += topo_->transfer(
-                        src, device,
-                        static_cast<uint64_t>(rows) * row_bytes);
-            }
-        }
-    } else {
-        cost.misses = feature_cache_
-                          ? feature_cache_->lookup_batch(unique_nodes)
-                          : cost.uniques;
-        if (tiered_store_ && tiered_store_->active())
-            storage_s += tiered_store_->charge_batch(unique_nodes);
-    }
+    const store::RowCharge charge = store::charge_batch_rows(
+        {feature_cache_ ? &*feature_cache_ : nullptr,
+         sharded_features_ ? &*sharded_features_ : nullptr, topo_.get(),
+         tiered_store_.get(), row_bytes},
+        device, unique_nodes);
+    cost.misses = charge.misses;
+    cost.storage = charge.storage_s;
+    cost.storage_tier = tiered_store_ && tiered_store_->active();
     const uint64_t feature_bytes =
         static_cast<uint64_t>(cost.misses) * row_bytes;
-    const uint64_t bytes = feature_bytes + topo_bytes;
-    const double io_s =
-        spec_.pcie_latency +
-        static_cast<double>(bytes) / spec_.pcie_bw +
-        static_cast<double>(feature_bytes) / spec_.host_gather_bw +
-        peer_s + storage_s;
+    cost.io = kernels_.host_transfer(feature_bytes + topo_bytes,
+                                     feature_bytes) +
+              charge.peer_s + charge.storage_s;
 
     // Inference is the forward pass only; the dedup factor credits the
     // aggregation work the shared local-ID space avoids recomputing.
     const double dedup =
-        uniq_sum > 0 ? static_cast<double>(cost.uniques) /
-                           static_cast<double>(uniq_sum)
-                     : 1.0;
-    // With a modelled sampler pool the sampling time was charged
-    // per-request at the pool, so the batch excludes it; without one
-    // the decomposition sums bit-exactly to the legacy expression.
-    cost.sample_s = opts_.modelled_samplers > 0 ? 0.0 : sample_s;
-    cost.id_map_s = id_map_s;
-    cost.io_s = io_s;
-    cost.storage_s = storage_s;
-    cost.compute_s = compute_sum * dedup;
-    cost.service =
-        cost.sample_s + cost.id_map_s + cost.io_s + cost.compute_s;
+        instances > 0 ? static_cast<double>(cost.rows) /
+                            static_cast<double>(instances)
+                      : 1.0;
+    cost.compute = compute_sum * dedup;
     return cost;
 }
 
@@ -639,50 +576,43 @@ struct Server::Engine
         const double free_before =
             vs.gpu_free_at[static_cast<size_t>(dev)];
         const double start = std::max(free_before, at);
-        const BatchCost cost = s.cost_batch(m, dev, batch);
+        const prof::BatchPhases cost = s.cost_batch(m, dev, batch);
+        const double service =
+            cost.sample + cost.id_map + cost.io + cost.compute;
         // Dispatched requests leave the prefetch window; their staged
         // blocks (hit or not) stop pinning window references.
         if (s.tiered_store_ && s.tiered_store_->active()) {
             for (const PendingRequest &pr : batch)
                 s.tiered_store_->complete_batch(pr.request.id);
         }
-        const double completion = start + cost.service;
+        const double completion = start + service;
         vs.gpu_free_at[static_cast<size_t>(dev)] = completion;
-        vs.busy += cost.service;
+        vs.busy += service;
         vs.batch_members += static_cast<int64_t>(batch.size());
         ModelTierStats &tier = vs.tallies.per_model[m];
         ++tier.batches;
         tier.mean_batch_size += static_cast<double>(batch.size());
-        tier.gpu_busy_seconds += cost.service;
+        tier.gpu_busy_seconds += service;
         // Per-stage accounting (pure observation; no feedback). The
-        // sampler stage holds sampling + Fused-Map service (Fused-Map
-        // only when a sampler pool charges sampling per-request), the
-        // sequencer stage holds each member's arrival-to-dispatch
-        // delay, and the device row conserves busy + idle gaps.
-        profiler.record(prof::Stage::kSampler, 0.0,
-                        cost.sample_s + cost.id_map_s,
-                        static_cast<int64_t>(batch.size()));
-        profiler.record(prof::Stage::kGather, 0.0, cost.io_s,
-                        cost.uniques);
-        profiler.record(prof::Stage::kCompute, start - at,
-                        cost.compute_s,
-                        static_cast<int64_t>(batch.size()));
-        if (s.tiered_store_ && s.tiered_store_->active())
-            profiler.record(prof::Stage::kStorage, 0.0,
-                            cost.storage_s, cost.misses);
+        // batch's phases go through the one stage mapping (the sampler
+        // stage holds Fused-Map alone when a sampler pool charges
+        // sampling per-request), the sequencer stage holds each
+        // member's arrival-to-dispatch delay, and the device row
+        // conserves busy + idle gaps.
+        profiler.record_batch(cost, 0.0, start - at);
         for (const PendingRequest &pr : batch)
             profiler.record(prof::Stage::kSequencer,
                             at - pr.request.arrival, 0.0, 1);
-        profiler.record_tier(m, start - at, cost.service,
+        profiler.record_tier(m, start - at, service,
                              static_cast<int64_t>(batch.size()));
-        profiler.record_device(dev, start - free_before, cost.service,
+        profiler.record_device(dev, start - free_before, service,
                                completion);
         vs.fingerprint = fnv(vs.fingerprint,
                              static_cast<uint64_t>(batch_id));
         vs.fingerprint = fnv(vs.fingerprint, static_cast<uint64_t>(m));
         vs.fingerprint = fnv(vs.fingerprint, batch.size());
         vs.fingerprint = fnv(vs.fingerprint,
-                             static_cast<uint64_t>(cost.uniques));
+                             static_cast<uint64_t>(cost.rows));
         vs.fingerprint = fnv(vs.fingerprint,
                              static_cast<uint64_t>(cost.misses));
         vs.fingerprint = fnv(vs.fingerprint, double_bits(completion));

@@ -474,7 +474,6 @@ class Server
     const ServerOptions &options() const { return opts_; }
 
   private:
-    struct BatchCost;
     /** The virtual event machine (batchers, caches, admission,
      *  dispatch, profiler); defined in server.cpp, driven only by the
      *  sequencer thread of run(). */
@@ -501,10 +500,11 @@ class Server
         std::unique_ptr<compute::GnnModel> model;
     };
 
-    /** Modelled service seconds of one closed micro-batch of @p tier,
-     *  executing on modelled device @p device. */
-    BatchCost cost_batch(size_t tier, int device,
-                         const std::vector<PendingRequest> &batch);
+    /** Modelled phases of one closed micro-batch of @p tier executing
+     *  on modelled device @p device; the device is busy for their sum
+     *  sample + id_map + io + compute. */
+    prof::BatchPhases cost_batch(size_t tier, int device,
+                                 const std::vector<PendingRequest> &batch);
 
     /** Device owning @p node's partition; 0 when num_gpus == 1. */
     int home_device(graph::NodeId node) const;

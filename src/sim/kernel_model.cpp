@@ -189,5 +189,14 @@ KernelModel::allreduce(uint64_t param_bytes, int gpus) const
     return payload / spec_.pcie_bw + steps * spec_.pcie_latency;
 }
 
+double
+KernelModel::host_transfer(uint64_t bytes, uint64_t feature_bytes,
+                           double contention) const
+{
+    return spec_.pcie_latency +
+           contention * double(bytes) / spec_.pcie_bw +
+           contention * double(feature_bytes) / spec_.host_gather_bw;
+}
+
 } // namespace sim
 } // namespace fastgl

@@ -137,6 +137,16 @@ class KernelModel
      */
     double allreduce(uint64_t param_bytes, int gpus) const;
 
+    /**
+     * The one host->device transfer formula of every batch-cost path:
+     * latency + c*bytes/pcie_bw (DMA of features + topology) +
+     * c*feature_bytes/host_gather_bw (host gather into the pinned
+     * buffer), left to right, c = @p contention of trainer GPUs sharing
+     * host bandwidth. Callers add peer and storage seconds after it.
+     */
+    double host_transfer(uint64_t bytes, uint64_t feature_bytes,
+                         double contention = 1.0) const;
+
   private:
     GpuSpec spec_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * GPU-to-GPU interconnect model — the multi-device companion of
- * PcieLink.
+ * GPU-to-GPU interconnect model — the multi-device companion of the
+ * host link (sim::KernelModel::host_transfer).
  *
  * A data-parallel job moves subgraphs and remote cache rows between
  * devices, and which physical link a pair of GPUs shares decides how

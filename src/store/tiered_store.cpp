@@ -194,5 +194,53 @@ TieredFeatureStore::stats() const
     return s;
 }
 
+RowCharge
+charge_batch_rows(const FeatureTiers &tiers, int device,
+                  std::span<const graph::NodeId> nodes)
+{
+    RowCharge charge;
+    const bool storage = tiers.storage && tiers.storage->active();
+    if (!tiers.shards) {
+        charge.misses = tiers.cache ? tiers.cache->lookup_batch(nodes)
+                                    : static_cast<int64_t>(nodes.size());
+        if (storage)
+            charge.storage_s = tiers.storage->charge_batch(nodes);
+        return charge;
+    }
+
+    // One transfer per source device into the device running the batch.
+    auto transfer_from = [&](const std::vector<int64_t> &rows_by_src) {
+        for (size_t src = 0; src < rows_by_src.size(); ++src) {
+            if (rows_by_src[src] > 0)
+                charge.peer_s += tiers.topo->transfer(
+                    static_cast<int>(src), device,
+                    static_cast<uint64_t>(rows_by_src[src]) *
+                        tiers.row_bytes);
+        }
+    };
+    // Rows resident on a peer device's shard cross the interconnect
+    // instead of the host link.
+    const match::ShardLookup sl = tiers.shards->lookup_batch(device, nodes);
+    charge.misses = sl.misses;
+    transfer_from(sl.remote_rows_by_device);
+    if (!storage)
+        return charge;
+    // Shard misses that also miss host DRAM pay a storage read, plus
+    // the interconnect when the row's owner is a peer device (the read
+    // lands on the owner's partition).
+    charge.storage_s = tiers.storage->charge_miss_rows(sl.miss_nodes);
+    std::vector<int64_t> rows_by_owner(
+        static_cast<size_t>(tiers.shards->num_devices()), 0);
+    for (graph::NodeId u : sl.miss_nodes) {
+        if (tiers.storage->host_resident(u))
+            continue;
+        const int owner = tiers.shards->owner_device(u);
+        if (owner != device)
+            ++rows_by_owner[static_cast<size_t>(owner)];
+    }
+    transfer_from(rows_by_owner);
+    return charge;
+}
+
 } // namespace store
 } // namespace fastgl

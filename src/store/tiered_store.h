@@ -35,6 +35,8 @@
 #include "graph/feature_store.h"
 #include "graph/partition.h"
 #include "match/feature_cache.h"
+#include "match/partitioned_cache.h"
+#include "sim/peer_link.h"
 #include "sim/storage_link.h"
 #include "store/feature_layout.h"
 #include "store/io_scheduler.h"
@@ -218,6 +220,40 @@ class TieredFeatureStore
     std::vector<int64_t> blocks_;
     StoreStats tallies_;
 };
+
+/** The feature tiers below one device, as its owner built them; any
+ *  pointer may be null. */
+struct FeatureTiers
+{
+    /** Single-device cache; consulted only without shards. */
+    const match::StaticFeatureCache *cache = nullptr;
+    /** Multi-GPU sharded cache; requires topo. */
+    match::PartitionedFeatureCache *shards = nullptr;
+    sim::PeerTopology *topo = nullptr;
+    /** Charged only while active(). */
+    TieredFeatureStore *storage = nullptr;
+    uint64_t row_bytes = 0;
+};
+
+/** What one batch's rows cost below the device cache. */
+struct RowCharge
+{
+    int64_t misses = 0;     ///< Rows no device cache held (host link).
+    double peer_s = 0.0;    ///< Interconnect seconds.
+    double storage_s = 0.0; ///< Demand storage-read stall.
+};
+
+/**
+ * The one miss-row charge of Trainer and Server, for the distinct
+ * @p nodes a batch on @p device gathers. With shards: the shard lookup,
+ * peer transfers by source device, the storage read of the shard
+ * misses, then one re-cross per peer device owning storage-read rows.
+ * Without: the cache lookup (no cache = every row misses) and the
+ * storage charge of the batch. Stateful (cache counters, link totals,
+ * staging), so batches must come in order.
+ */
+RowCharge charge_batch_rows(const FeatureTiers &tiers, int device,
+                            std::span<const graph::NodeId> nodes);
 
 } // namespace store
 } // namespace fastgl

@@ -11,10 +11,12 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/async_pipeline.h"
 #include "core/pipeline.h"
 #include "graph/datasets.h"
+#include "prof/profiler.h"
 
 namespace fastgl {
 namespace {
@@ -110,6 +112,30 @@ TEST(AsyncPipeline, BitIdenticalAcrossGatherAndComputeThreads)
             expect_identical(reference, pipe.run_epoch());
         }
     }
+}
+
+TEST(AsyncPipeline, ProfileSamplerStageHoldsSampleAndIdMap)
+{
+    // The one stage mapping: sampler = sample + id_map, whatever the
+    // thread counts, and the whole report is width-independent.
+    const auto opts = base_options(core::Framework::kFastGL);
+    std::vector<uint64_t> fingerprints;
+    for (int threads : {1, 4}) {
+        prof::Profiler profiler(true);
+        core::AsyncPipelineOptions async;
+        async.sampler_threads = threads;
+        async.gather_threads = threads;
+        async.compute_threads = threads;
+        async.profiler = &profiler;
+        core::AsyncPipeline pipe(products(), opts, async);
+        const core::EpochResult r = pipe.run_epoch();
+        const double want = r.phases.sample + r.phases.id_map;
+        EXPECT_NEAR(profiler.stage(prof::Stage::kSampler).busy_seconds,
+                    want, 1e-12 * want)
+            << "threads=" << threads;
+        fingerprints.push_back(profiler.report().fingerprint());
+    }
+    EXPECT_EQ(fingerprints[0], fingerprints[1]);
 }
 
 TEST(AsyncPipeline, BitIdenticalWithStaticCachePreset)

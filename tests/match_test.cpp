@@ -293,6 +293,20 @@ TEST(WarmupTrace, LoadOfMissingOrCorruptFileIsEmptyNotFatal)
     std::remove(path.c_str());
 }
 
+TEST(WarmupTrace, LoadRejectsCountLargerThanFile)
+{
+    // A 39-byte file claiming 10^14 entries: the load must fail cleanly
+    // instead of resizing to the header's count (bad_alloc).
+    const std::string path =
+        testing::TempDir() + "fastgl_warmup_oversized.trace";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("fastgl-warmup-v1 100000000000000\n1\n2\n3\n", f);
+    std::fclose(f);
+    EXPECT_TRUE(match::load_warmup_trace(path).empty());
+    std::remove(path.c_str());
+}
+
 TEST(WarmupTrace, RankingFromFrequenciesIsHottestFirst)
 {
     match::WarmupTrace trace;

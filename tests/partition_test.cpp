@@ -237,5 +237,19 @@ TEST(PartitionSerialize, RejectsWrongMagicAndBadIndices)
     std::remove(bad_index.c_str());
 }
 
+TEST(PartitionSerialize, RejectsCountLargerThanFile)
+{
+    // The header claims 10^14 nodes but three entries follow: the load
+    // must fail cleanly, not resize to the header's count.
+    const std::string path =
+        ::testing::TempDir() + "partition_oversized.txt";
+    {
+        std::ofstream out(path);
+        out << "fastgl-partition-v1 2 100000000000000\n0\n1\n0\n";
+    }
+    EXPECT_TRUE(graph::load_partitioning(path).empty());
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace fastgl

@@ -13,6 +13,8 @@
 #include "core/trainer.h"
 #include "graph/datasets.h"
 #include "prof/profiler.h"
+#include "sample/batch_splitter.h"
+#include "sample/neighbor_sampler.h"
 #include "serve/load_generator.h"
 #include "serve/server.h"
 
@@ -21,7 +23,7 @@ namespace {
 
 /** Golden digest of the profiled fixed training epoch below; change it
  *  only when the cost model or profiler schema intentionally moves. */
-constexpr uint64_t kGoldenTrainProfile = 0xE60B138C8B4B1002ULL;
+constexpr uint64_t kGoldenTrainProfile = 0x3542F78961E29EF4ULL;
 
 const graph::Dataset &
 serve_products()
@@ -45,6 +47,29 @@ train_reddit()
         return graph::load_replica(graph::DatasetId::kReddit, opts);
     }();
     return ds;
+}
+
+const graph::Dataset &
+train_papers()
+{
+    static graph::Dataset ds = [] {
+        graph::ReplicaOptions opts;
+        opts.size_factor = 0.1;
+        return graph::load_replica(graph::DatasetId::kPapers100M, opts);
+    }();
+    return ds;
+}
+
+/** A short profiled papers epoch; callers add caches and storage. */
+core::TrainerOptions
+papers_trainer_options()
+{
+    core::TrainerOptions opts;
+    opts.fanouts = {5, 5};
+    opts.batch_size = 16;
+    opts.max_batches = 8;
+    opts.profile = true;
+    return opts;
 }
 
 serve::ServerOptions
@@ -246,6 +271,78 @@ TEST(ProfilerTest, GoldenProfileFingerprint)
     const uint64_t fp_b = b.train_epoch().profile.fingerprint();
     EXPECT_EQ(fp_a, fp_b);
     EXPECT_EQ(fp_a, kGoldenTrainProfile);
+}
+
+TEST(ProfilerTest, TrainerGatherStageSeesTheFeatureCache)
+{
+    // The gather stage charges the rows the cache missed, not every
+    // sampled row: a 20% cache must shorten it.
+    core::TrainerOptions cached = papers_trainer_options();
+    cached.feature_cache_ratio = 0.2;
+    core::Trainer without(train_papers(), papers_trainer_options());
+    core::Trainer with(train_papers(), cached);
+    const auto a = without.train_epoch();
+    const auto b = with.train_epoch();
+    const size_t gather = size_t(prof::Stage::kGather);
+    EXPECT_LT(b.profile.stages[gather].busy_seconds,
+              a.profile.stages[gather].busy_seconds);
+    // Accounting only: the cache moves no loss.
+    EXPECT_EQ(a.iteration_losses, b.iteration_losses);
+}
+
+TEST(ProfilerTest, TrainerGatherStageConservesChargedIo)
+{
+    // 2 GPUs, a sharded 20% cache and an NVMe tier holding 75% of the
+    // rows: the gather stage must equal what the epoch's own counters
+    // say was charged — one host transfer per batch for the shard
+    // misses and the topology, plus the peer links' and the storage
+    // tier's seconds.
+    core::TrainerOptions opts = papers_trainer_options();
+    opts.feature_cache_ratio = 0.2;
+    opts.num_gpus = 2;
+    opts.storage.storage = store::StorageKind::kNvme;
+    opts.storage.host_mem_fraction = 0.25;
+    const graph::Dataset &ds = train_papers();
+    core::Trainer trainer(ds, opts);
+    const core::TrainEpochStats st = trainer.train_epoch();
+
+    // The same batches, sampled independently: the Trainer's splitter
+    // runs on opts.seed and its sampler on opts.seed + 1.
+    sample::BatchSplitter splitter(ds.train_nodes, opts.batch_size,
+                                   opts.seed);
+    splitter.shuffle_epoch();
+    sample::NeighborSamplerOptions nopts;
+    nopts.fanouts = opts.fanouts;
+    nopts.seed = opts.seed + 1;
+    sample::NeighborSampler sampler(ds.graph, nopts);
+    double topology_bytes = 0.0;
+    for (int64_t b = 0; b < opts.max_batches; ++b)
+        topology_bytes += double(
+            sampler.sample(splitter.batch(b)).topology_bytes());
+
+    double peer_s = 0.0;
+    for (const sim::PeerLinkStats &link : st.peer_links)
+        peer_s += link.seconds;
+    ASSERT_GT(peer_s, 0.0);
+    ASSERT_GT(st.storage_stall_seconds, 0.0);
+    const sim::GpuSpec spec = sim::rtx3090();
+    const double feature_bytes = double(st.shard_totals.misses) *
+                                 double(ds.features.row_bytes());
+    const double charged =
+        double(opts.max_batches) * spec.pcie_latency +
+        (feature_bytes + topology_bytes) / spec.pcie_bw +
+        feature_bytes / spec.host_gather_bw + peer_s +
+        st.storage_stall_seconds;
+    const auto &stages = st.profile.stages;
+    EXPECT_NEAR(stages[size_t(prof::Stage::kGather)].busy_seconds,
+                charged, 1e-9 * charged);
+    // The storage stage is the stall, summed in the same order.
+    EXPECT_EQ(stages[size_t(prof::Stage::kStorage)].busy_seconds,
+              st.storage_stall_seconds);
+    // Peer seconds reach the profile only: the modelled epoch stays
+    // compute plus storage stall.
+    EXPECT_EQ(st.modelled_epoch_seconds,
+              st.modelled_compute_seconds + st.storage_stall_seconds);
 }
 
 // ---------------------------------------------------------------------

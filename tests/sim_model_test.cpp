@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the device model: GpuSpec bandwidth math, PCIe link, device
+ * Tests for the device model: GpuSpec bandwidth math, host transfer, device
  * memory ledger, kernel cost model, roofline.
  */
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include "sim/device_memory.h"
 #include "sim/gpu_spec.h"
 #include "sim/kernel_model.h"
-#include "sim/pcie_link.h"
 #include "sim/roofline.h"
 
 namespace fastgl {
@@ -43,23 +42,23 @@ TEST(GpuSpec, GraceHopperHasFatHostLink)
     EXPECT_LT(sim::rtx3090_pcie3().pcie_bw, sim::rtx3090().pcie_bw);
 }
 
-TEST(PcieLink, TransferTimeIsLatencyPlusBandwidth)
+TEST(KernelModel, HostTransferIsLatencyPlusDmaPlusGather)
 {
     const sim::GpuSpec spec = sim::rtx3090();
-    sim::PcieLink link(spec);
-    const double t = link.transfer(32'000'000'000ull); // 32 GB at 32 GB/s
-    EXPECT_NEAR(t, 1.0 + spec.pcie_latency, 1e-6);
-    EXPECT_EQ(link.transfers(), 1u);
-    EXPECT_EQ(link.total_bytes(), 32'000'000'000ull);
-    link.reset();
-    EXPECT_EQ(link.transfers(), 0u);
-}
-
-TEST(PcieLink, EstimateDoesNotRecord)
-{
-    sim::PcieLink link(sim::rtx3090());
-    link.estimate(1000);
-    EXPECT_EQ(link.transfers(), 0u);
+    const sim::KernelModel model(spec);
+    // 32 GB at 32 GB/s with no host-side gather: one second of DMA.
+    EXPECT_NEAR(model.host_transfer(32'000'000'000ull, 0),
+                1.0 + spec.pcie_latency, 1e-6);
+    // Feature bytes also pay the host gather into the pinned buffer.
+    const uint64_t bytes = 1'000'000;
+    EXPECT_DOUBLE_EQ(model.host_transfer(bytes, bytes),
+                     spec.pcie_latency + double(bytes) / spec.pcie_bw +
+                         double(bytes) / spec.host_gather_bw);
+    // Contention stretches both terms, never the latency.
+    EXPECT_DOUBLE_EQ(model.host_transfer(bytes, bytes, 2.0) -
+                         spec.pcie_latency,
+                     2.0 * (model.host_transfer(bytes, bytes) -
+                            spec.pcie_latency));
 }
 
 TEST(DeviceMemory, LedgerTracksAllocations)

@@ -5,15 +5,12 @@
 # "fails" forever even though the tree is fine.
 #
 # Usage:
-#   tools/ci.sh                 # warnings-as-errors build + full ctest,
-#                               # then the full ctest again under
-#                               # AddressSanitizer + UBSan
-#   FASTGL_TSAN=1 tools/ci.sh   # additionally run the concurrency
-#                               # suite under ThreadSanitizer
+#   tools/ci.sh   # warnings-as-errors build + full ctest, then the full
+#                 # ctest again under AddressSanitizer + UBSan and under
+#                 # ThreadSanitizer
 #
 # Environment:
 #   FASTGL_CI_JOBS   parallel build/test jobs (default: nproc)
-#   FASTGL_TSAN      when 1, add a -fsanitize=thread configuration
 #   FASTGL_NO_PERF   when 1, skip the hot-path perf smoke step
 set -euo pipefail
 
@@ -55,13 +52,13 @@ else
     echo "==> doxygen not installed; skipping strict docs check"
 fi
 
-if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
-    echo "==> ThreadSanitizer configuration (concurrency suite)"
-    run_config build-tsan -DFASTGL_SANITIZE=thread \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Determinism|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
-fi
+# Data-race check of the whole suite: one -fsanitize=thread
+# configuration, every ctest entry — no hand-kept subset to drift out
+# of date as concurrent code spreads.
+echo "==> ThreadSanitizer configuration (full suite)"
+run_config build-tsan -DFASTGL_SANITIZE=thread \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 
 # Gate one archived bench JSON. Every bench archive must parse as JSON
 # — a truncated or crash-interleaved archive used to sail through the

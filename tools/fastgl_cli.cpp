@@ -23,6 +23,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 
 #include "fastgl.h"
@@ -33,7 +34,9 @@ using namespace fastgl;
 
 /**
  * Tiny argv parser after the mode word: --key value pairs, plus bare
- * --flags (no value, e.g. --help) stored as "1".
+ * --flags (no value, e.g. --help) stored as "1". Every lookup marks its
+ * key used, so reject_unused() can refuse a misspelt flag instead of
+ * silently running without it.
  */
 class Args
 {
@@ -53,12 +56,14 @@ class Args
 
     bool has(const std::string &key) const
     {
+        used_.insert(key);
         return values_.count(key) != 0;
     }
 
     std::string
     get(const std::string &key, const std::string &fallback) const
     {
+        used_.insert(key);
         auto it = values_.find(key);
         return it == values_.end() ? fallback : it->second;
     }
@@ -73,6 +78,7 @@ class Args
     get_number(const std::string &key, T fallback,
                T min = std::numeric_limits<T>::lowest()) const
     {
+        used_.insert(key);
         auto it = values_.find(key);
         if (it == values_.end())
             return fallback;
@@ -96,8 +102,22 @@ class Args
         return get_number<int64_t>(key, fallback, min);
     }
 
+    /** Usage error on any given flag no lookup asked for. Call once
+     *  every flag of the mode has been read, before the real work. */
+    void
+    reject_unused(const std::string &mode) const
+    {
+        for (const auto &entry : values_) {
+            if (used_.count(entry.first) == 0)
+                util::fatal("unknown flag --" + entry.first + " for " +
+                            mode + " (see fastgl_cli " + mode +
+                            " --help)");
+        }
+    }
+
   private:
     std::map<std::string, std::string> values_;
+    mutable std::set<std::string> used_;
 };
 
 graph::DatasetId
@@ -439,9 +459,10 @@ run_model(const Args &args)
     opts.batch_size = args.get_int("batch", 0);
     opts.max_batches = args.get_int("max-batches", 0);
     opts.seed = uint64_t(args.get_int("seed", 1));
+    const int epochs = int(args.get_int("epochs", 1, 1));
+    args.reject_unused("model");
     core::Pipeline pipeline(ds, opts);
 
-    const int epochs = int(args.get_int("epochs", 1));
     std::printf("%s on %s, %d GPU(s) x %d machine(s), model %s\n",
                 opts.fw.name.c_str(), ds.name.c_str(), opts.num_gpus,
                 opts.num_machines,
@@ -496,9 +517,10 @@ run_train(const Args &args)
     opts.profile = args.has("profile") || !profile_json.empty();
     const std::string warmup_path = args.get("save-warmup", "");
     opts.record_node_frequencies = !warmup_path.empty();
+    const int epochs = int(args.get_int("epochs", 3, 1));
+    args.reject_unused("train");
     core::Trainer trainer(ds, opts);
 
-    const int epochs = int(args.get_int("epochs", 3));
     std::printf("training %s on %s (%d epochs%s)\n",
                 compute::model_type_name(opts.model.type),
                 ds.name.c_str(), epochs,
@@ -610,19 +632,17 @@ run_serve(const Args &args)
     const std::string profile_json = args.get("profile-json", "");
     sopts.profile = args.has("profile") || !profile_json.empty();
     sopts.modelled_samplers = int(args.get_int("samplers", 0));
-    if (args.has("autoscale")) {
-        sopts.autoscale.enabled = true;
-        sopts.autoscale.min_workers =
-            int(args.get_int("autoscale-min", 1));
-        sopts.autoscale.max_workers =
-            int(args.get_int("autoscale-max", 8));
-        sopts.autoscale.cache_grow =
-            double(args.get_int("autoscale-cache-pct", 100)) / 100.0;
-    }
+    sopts.autoscale.enabled = args.has("autoscale");
+    sopts.autoscale.min_workers = int(args.get_int("autoscale-min", 1));
+    sopts.autoscale.max_workers = int(args.get_int("autoscale-max", 8));
+    sopts.autoscale.cache_grow =
+        double(args.get_int("autoscale-cache-pct", 100)) / 100.0;
 
     // --model2 hosts a second tier behind the same front door; both
     // tiers inherit the shared batcher/embedding settings.
     const std::string model2 = args.get("model2", "");
+    const double model2_share = std::clamp(
+        double(args.get_int("model2-share", 30)) / 100.0, 0.0, 1.0);
     serve::LoadGeneratorOptions lopts;
     if (!model2.empty()) {
         serve::ModelTier tier;
@@ -634,24 +654,12 @@ run_serve(const Args &args)
         tier.name = model2;
         tier.model.type = parse_model(model2);
         sopts.models.push_back(tier);
-        const double share = std::clamp(
-            double(args.get_int("model2-share", 30)) / 100.0, 0.0, 1.0);
-        lopts.model_mix = {1.0 - share, share};
+        lopts.model_mix = {1.0 - model2_share, model2_share};
     }
 
-    // Warmup trace (recorded by `train --save-warmup`): seeds the
-    // feature-cache ranking and every tier's embedding cache.
-    const std::string warmup_path = args.get("warmup", "");
-    if (!warmup_path.empty()) {
-        sopts.warmup = match::load_warmup_trace(warmup_path);
-        if (sopts.warmup.empty())
-            return 1;
-    }
-    serve::Server server(ds, sopts);
-
-    lopts.rate_rps = double(args.get_int("rate", 20000));
+    lopts.rate_rps = double(args.get_int("rate", 20000, 1));
     lopts.trace = parse_trace(args.get("trace", "const"));
-    lopts.num_requests = args.get_int("requests", 2048);
+    lopts.num_requests = args.get_int("requests", 2048, 1);
     lopts.targets_per_request = int(args.get_int("targets", 1));
     lopts.slo_deadline =
         double(args.get_int("slo-ms", 20)) / 1e3;
@@ -664,13 +672,24 @@ run_serve(const Args &args)
     // is rounded down to a whole number of requests per client.
     serve::ClosedLoopOptions copts;
     copts.num_clients = int(args.get_int("clients", 0));
+    copts.think_time = double(args.get_int("think-us", 2000)) / 1e6;
     if (copts.num_clients > 0) {
         copts.requests_per_client = std::max<int64_t>(
             1, lopts.num_requests / copts.num_clients);
-        copts.think_time = double(args.get_int("think-us", 2000)) / 1e6;
         lopts.num_requests =
             copts.requests_per_client * copts.num_clients;
     }
+
+    // Warmup trace (recorded by `train --save-warmup`): seeds the
+    // feature-cache ranking and every tier's embedding cache.
+    const std::string warmup_path = args.get("warmup", "");
+    args.reject_unused("serve");
+    if (!warmup_path.empty()) {
+        sopts.warmup = match::load_warmup_trace(warmup_path);
+        if (sopts.warmup.empty())
+            return 1;
+    }
+    serve::Server server(ds, sopts);
     serve::LoadGenerator gen(server.popularity(), lopts);
 
     if (copts.num_clients > 0)
@@ -823,6 +842,7 @@ run_info(const Args &args)
 {
     const graph::DatasetId id =
         parse_dataset(args.get("dataset", "products"));
+    args.reject_unused("info");
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
     const graph::Dataset ds = graph::load_replica(id, ropts);
