@@ -6,11 +6,11 @@
  * wall-clock of actually running the CPU-side work drops because the
  * sample / gather / compute stages overlap across threads.
  */
-#include <chrono>
 #include <cstdio>
 #include <functional>
 
 #include "fastgl.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -20,11 +20,9 @@ double
 wall_of(const std::function<core::EpochResult()> &run,
         core::EpochResult &out)
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const util::WallTimer timer;
     out = run();
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    return dt.count();
+    return timer.elapsed_seconds();
 }
 
 } // namespace

@@ -8,9 +8,10 @@
  * fused gather+cache-accounting pass against the legacy
  * lookup_batch-then-stage two-pass, and of the one-pass
  * FrequencyHashmap presample against the legacy dense count-then-sort
- * two-pass. Every legacy side is replicated in-bench and FNV-witnessed
- * against the fast path — divergence is fatal (exit 1), because then
- * the speedups would not compare equal work.
+ * two-pass. The legacy paths come from tests/reference/ (the copy the
+ * golden tests pin), and each is FNV-witnessed against the fast path —
+ * divergence is fatal (exit 1), because then the speedups would not
+ * compare equal work.
  *
  * Two gather geometries are measured: a mid-size PCIe batch
  * (8192 x 256) where the copy itself dominates, and a wide-feature
@@ -21,23 +22,22 @@
  * engine's pooled arena is allocated once and stays hot.
  *
  * Output is a single JSON object on stdout so CI can archive it
- * (tools/ci.sh writes BENCH_gather.json). Pass --smoke for a
- * seconds-long run (numbers are then noisy; the run only has to
- * complete).
+ * (tools/ci.sh writes BENCH_gather.json). Every timing is the median
+ * seconds of one call over repeated trials (bench/harness.h), with its
+ * interquartile range next to it. Pass --smoke for a seconds-long run.
  */
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "compute/tensor.h"
 #include "graph/feature_store.h"
+#include "harness.h"
+#include "legacy_reference.h"
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
 #include "sample/frequency_hashmap.h"
-#include "util/fingerprint.h"
 #include "util/rng.h"
 
 namespace {
@@ -46,75 +46,9 @@ using namespace fastgl;
 using graph::FeatureStore;
 using graph::NodeId;
 using match::GatherEngine;
-using Clock = std::chrono::steady_clock;
-
-double
-seconds_since(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-using util::fnv_bytes;
-
-// ------------------------------------------------------------------
-// Legacy replicas (the pre-engine paths, verbatim).
-// ------------------------------------------------------------------
-
-/**
- * The historical feature staging: construct a fresh (zero-filled)
- * Tensor for the batch, then one bounds-checked gather_row per node —
- * exactly the pre-engine Trainer::gather_features body.
- */
-compute::Tensor
-legacy_gather_features(const FeatureStore &store,
-                       const std::vector<NodeId> &nodes)
-{
-    compute::Tensor x(static_cast<int64_t>(nodes.size()), store.dim());
-    for (size_t i = 0; i < nodes.size(); ++i)
-        store.gather_row(nodes[i],
-                         x.row(static_cast<int64_t>(i)).data());
-    return x;
-}
-
-/** The historical cached gather: lookup_batch sweep, then the staging. */
-compute::Tensor
-legacy_cached_gather(const FeatureStore &store,
-                     const match::StaticFeatureCache &cache,
-                     const std::vector<NodeId> &nodes, int64_t *misses)
-{
-    *misses = cache.lookup_batch(nodes);
-    return legacy_gather_features(store, nodes);
-}
-
-/** The historical presample: dense per-node counts, then a full sort. */
-std::vector<NodeId>
-legacy_presample(const std::vector<NodeId> &stream, NodeId num_nodes)
-{
-    std::vector<int64_t> freq(static_cast<size_t>(num_nodes), 0);
-    for (NodeId u : stream)
-        ++freq[static_cast<size_t>(u)];
-    return match::presample_ranking(freq);
-}
-
-// ------------------------------------------------------------------
-
-bool g_diverged = false;
-
-/** Record a witness pair; divergence poisons the whole run. */
-bool
-check_witness(uint64_t legacy, uint64_t engine)
-{
-    if (legacy != engine)
-        g_diverged = true;
-    return legacy == engine;
-}
-
-struct ThreadRow
-{
-    int threads;
-    double seconds = 0.0;
-    bool identical = false;
-};
+using reference::legacy_gather_features;
+using reference::panel_hash;
+using reference::tensor_hash;
 
 struct GatherCase
 {
@@ -122,58 +56,75 @@ struct GatherCase
     NodeId num_nodes;
     int dim;
     int64_t batch;
-    int reps;
-    double legacy_s = 0.0;
-    double best_engine_s = 0.0;
-    std::vector<ThreadRow> rows;
 };
 
-/** Run legacy staging + the engine thread sweep for one geometry. */
-void
-run_gather_case(GatherCase &cfg)
+std::vector<NodeId>
+random_batch(util::Rng &rng, NodeId num_nodes, int64_t batch)
+{
+    std::vector<NodeId> nodes;
+    nodes.reserve(static_cast<size_t>(batch));
+    for (int64_t i = 0; i < batch; ++i)
+        nodes.push_back(static_cast<NodeId>(
+            rng.next_below(static_cast<uint64_t>(num_nodes))));
+    return nodes;
+}
+
+/**
+ * Legacy staging + the engine thread sweep for one geometry; returns
+ * the best engine speedup over the legacy staging.
+ */
+double
+write_gather_case(util::JsonWriter &w, bench::Witness &witness,
+                  bench::Trials trials, const GatherCase &cfg)
 {
     FeatureStore store(cfg.num_nodes, cfg.dim, 8, 0xFA57, true);
     util::Rng rng(42);
-    std::vector<NodeId> nodes;
-    nodes.reserve(static_cast<size_t>(cfg.batch));
-    for (int64_t i = 0; i < cfg.batch; ++i)
-        nodes.push_back(static_cast<NodeId>(
-            rng.next_below(static_cast<uint64_t>(cfg.num_nodes))));
+    const std::vector<NodeId> nodes =
+        random_batch(rng, cfg.num_nodes, cfg.batch);
+    const double panel_gb =
+        double(cfg.batch) * cfg.dim * sizeof(float) / 1e9;
 
-    legacy_gather_features(store, nodes); // warm-up
-    {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < cfg.reps; ++r)
-            legacy_gather_features(store, nodes);
-        cfg.legacy_s = seconds_since(t0);
-    }
-    const compute::Tensor witness = legacy_gather_features(store, nodes);
-    const uint64_t want =
-        fnv_bytes(witness.data(), static_cast<size_t>(witness.rows()) *
-                                      static_cast<size_t>(witness.cols()) *
-                                      sizeof(float));
-
+    const bench::Spread legacy = bench::time_trials(
+        trials, [&] { legacy_gather_features(store, nodes); });
+    const uint64_t want = tensor_hash(legacy_gather_features(store, nodes));
+    w.begin_object();
+    w.key("name").string(cfg.name);
+    w.key("num_nodes").integer(cfg.num_nodes);
+    w.key("dim").integer(cfg.dim);
+    w.key("batch").integer(cfg.batch);
+    w.key("reps").integer(trials.trials);
+    bench::write_spread(w, "legacy_s", legacy);
+    w.key("legacy_gb_per_s")
+        .fixed(bench::ratio(panel_gb, legacy.median), 2);
+    w.key("engine").begin_array();
+    double best_engine_s = 0.0;
     for (const int threads : {1, 2, 4, 8}) {
         GatherEngine engine(threads);
-        match::FeaturePanel panel = engine.gather(store, nodes); // warm
-        ThreadRow row{threads, 0.0, false};
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < cfg.reps; ++r) {
+        match::FeaturePanel panel;
+        const bench::Spread s = bench::time_trials(trials, [&] {
             // Consume-then-release, the steady-state consumer pattern:
             // the arena goes back to the LIFO pool before the next
             // gather, which hands the same hot buffer straight back.
             panel.release();
             panel = engine.gather(store, nodes);
-        }
-        row.seconds = seconds_since(t0);
-        row.identical = check_witness(
-            want, fnv_bytes(panel.data(),
-                            static_cast<size_t>(panel.bytes())));
-        cfg.rows.push_back(row);
+        });
+        w.begin_object();
+        w.key("threads").integer(threads);
+        bench::write_spread(w, "seconds", s);
+        w.key("gb_per_s").fixed(bench::ratio(panel_gb, s.median), 2);
+        w.key("speedup_vs_legacy")
+            .fixed(bench::ratio(legacy.median, s.median), 3);
+        w.key("identical").boolean(witness.check(want, panel_hash(panel)));
+        w.end_object();
+        best_engine_s = best_engine_s == 0.0
+                            ? s.median
+                            : std::min(best_engine_s, s.median);
     }
-    cfg.best_engine_s = cfg.rows[0].seconds;
-    for (const ThreadRow &row : cfg.rows)
-        cfg.best_engine_s = std::min(cfg.best_engine_s, row.seconds);
+    w.end_array();
+    const double speedup = bench::ratio(legacy.median, best_engine_s);
+    w.key("speedup_vs_legacy").fixed(speedup, 3);
+    w.end_object();
+    return speedup;
 }
 
 } // namespace
@@ -181,106 +132,77 @@ run_gather_case(GatherCase &cfg)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bool smoke = bench::parse_smoke(argc, argv);
+    const bench::Trials trials{1, smoke ? 5 : 15};
+    bench::Witness witness;
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("bench").string("gather");
+    w.key("smoke").boolean(smoke);
 
     // ---- Batched gather: two geometries (see file comment) --------
-    std::vector<GatherCase> cases;
-    if (smoke) {
-        cases.push_back({"pcie_batch", 20000, 256, 2048, 4});
-        cases.push_back({"wide_features", 8000, 1024, 1024, 3});
-    } else {
-        cases.push_back({"pcie_batch", 100000, 256, 8192, 20});
-        cases.push_back({"wide_features", 60000, 1024, 8192, 12});
-    }
-    for (GatherCase &cfg : cases)
-        run_gather_case(cfg);
-
+    const GatherCase cases[] = {
+        {"pcie_batch", smoke ? 20000 : 100000, 256, smoke ? 2048 : 8192},
+        {"wide_features", smoke ? 8000 : 60000, 1024, smoke ? 1024 : 8192},
+    };
+    w.key("gather").begin_object();
+    w.key("cases").begin_array();
     double best_speedup = 0.0;
-    for (const GatherCase &cfg : cases) {
-        if (cfg.best_engine_s > 0)
-            best_speedup = std::max(best_speedup,
-                                    cfg.legacy_s / cfg.best_engine_s);
-    }
+    for (const GatherCase &cfg : cases)
+        best_speedup = std::max(
+            best_speedup, write_gather_case(w, witness, trials, cfg));
+    w.end_array();
+    w.key("best_speedup_vs_legacy").fixed(best_speedup, 3);
+    w.end_object();
 
     // ---- Fused gather + cache accounting --------------------------
-    const NodeId num_nodes = cases[0].num_nodes;
-    const int dim = cases[0].dim;
-    const int64_t batch = cases[0].batch;
-    const int reps = cases[0].reps;
-    FeatureStore store(num_nodes, dim, 8, 0xFA57, true);
+    const GatherCase &pcie = cases[0];
+    FeatureStore store(pcie.num_nodes, pcie.dim, 8, 0xFA57, true);
     util::Rng rng(42);
-    std::vector<NodeId> nodes;
-    nodes.reserve(static_cast<size_t>(batch));
-    for (int64_t i = 0; i < batch; ++i)
-        nodes.push_back(static_cast<NodeId>(
-            rng.next_below(static_cast<uint64_t>(num_nodes))));
-    const uint64_t want =
-        fnv_bytes(legacy_gather_features(store, nodes).data(),
-                  static_cast<size_t>(batch) * static_cast<size_t>(dim) *
-                      sizeof(float));
-
-    std::vector<NodeId> ranking(static_cast<size_t>(num_nodes));
+    const std::vector<NodeId> nodes =
+        random_batch(rng, pcie.num_nodes, pcie.batch);
+    std::vector<NodeId> ranking(static_cast<size_t>(pcie.num_nodes));
     std::iota(ranking.begin(), ranking.end(), 0);
-    match::StaticFeatureCache legacy_cache(num_nodes, ranking,
-                                           num_nodes / 5);
-    match::StaticFeatureCache fused_cache(num_nodes, ranking,
-                                          num_nodes / 5);
+    match::StaticFeatureCache legacy_cache(pcie.num_nodes, ranking,
+                                           pcie.num_nodes / 5);
+    match::StaticFeatureCache fused_cache(pcie.num_nodes, ranking,
+                                          pcie.num_nodes / 5);
 
-    double legacy_cached_s = 0.0;
+    // Both sides run the same number of calls, so the caches' hit
+    // totals are comparable. Single-threaded on both sides so the
+    // delta isolates the fused accounting pass; the thread sweep lives
+    // in the gather cases.
     int64_t legacy_misses = 0;
-    uint64_t legacy_cached_hash = 0;
-    {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < reps; ++r)
-            legacy_cached_gather(store, legacy_cache, nodes,
-                                 &legacy_misses);
-        legacy_cached_s = seconds_since(t0);
-        const compute::Tensor x =
-            legacy_cached_gather(store, legacy_cache, nodes,
-                                 &legacy_misses);
-        legacy_cached_hash =
-            fnv_bytes(x.data(), static_cast<size_t>(batch) *
-                                    static_cast<size_t>(dim) *
-                                    sizeof(float));
-        // The warm-up and witness passes also counted: rewind and
-        // replay exactly reps accounted sweeps so the hit totals are
-        // comparable with the fused side's reps.
-        legacy_cache.reset_stats();
-        for (int r = 0; r < reps; ++r)
-            legacy_cache.lookup_batch(nodes);
-    }
-
-    // Single-threaded on both sides so the delta isolates the fused
-    // accounting pass; the thread sweep lives in the gather cases.
+    compute::Tensor legacy_x;
     GatherEngine fused_engine(1);
-    double fused_s = 0.0;
     GatherEngine::CachedGather fused;
-    {
-        fused = fused_engine.gather_cached(store, nodes,
-                                           fused_cache); // warm
-        fused_cache.reset_stats();
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < reps; ++r) {
+    const auto [legacy_cached_s, fused_s] = bench::time_ab(
+        trials,
+        [&] {
+            // The historical cached gather: lookup_batch sweep, then
+            // the staging.
+            legacy_misses = legacy_cache.lookup_batch(nodes);
+            legacy_x = legacy_gather_features(store, nodes);
+        },
+        [&] {
             fused.panel.release();
-            fused = fused_engine.gather_cached(store, nodes,
-                                               fused_cache);
-        }
-        fused_s = seconds_since(t0);
-    }
+            fused = fused_engine.gather_cached(store, nodes, fused_cache);
+        });
     const bool fused_identical =
-        check_witness(want, legacy_cached_hash) &&
-        check_witness(legacy_cached_hash,
-                      fnv_bytes(fused.panel.data(),
-                                static_cast<size_t>(
-                                    fused.panel.bytes()))) &&
-        check_witness(static_cast<uint64_t>(legacy_misses),
+        witness.check(tensor_hash(legacy_x), panel_hash(fused.panel)) &&
+        witness.check(static_cast<uint64_t>(legacy_misses),
                       static_cast<uint64_t>(fused.misses)) &&
-        check_witness(static_cast<uint64_t>(legacy_cache.hits()),
+        witness.check(static_cast<uint64_t>(legacy_cache.hits()),
                       static_cast<uint64_t>(fused_cache.hits()));
+    w.key("fused_cache_gather").begin_object();
+    bench::write_spread(w, "legacy_two_pass_s", legacy_cached_s);
+    bench::write_spread(w, "fused_s", fused_s);
+    w.key("speedup").fixed(
+        bench::ratio(legacy_cached_s.median, fused_s.median), 3);
+    w.key("hits").integer(fused.hits);
+    w.key("misses").integer(fused.misses);
+    w.key("identical").boolean(fused_identical);
+    w.end_object();
 
     // ---- Presample: count-while-dedup vs dense two-pass -----------
     // Representative regime: a presample only touches the nodes a few
@@ -303,109 +225,33 @@ main(int argc, char **argv)
             a * b / static_cast<uint64_t>(pre_nodes)));
     }
 
-    const int pre_reps = smoke ? 2 : 3;
-    double legacy_pre_s = 0.0;
-    std::vector<NodeId> legacy_ranking;
-    {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < pre_reps; ++r)
-            legacy_ranking = legacy_presample(stream, pre_nodes);
-        legacy_pre_s = seconds_since(t0);
-    }
-
-    double fused_pre_s = 0.0;
-    std::vector<NodeId> fused_ranking;
-    {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < pre_reps; ++r) {
+    const bench::Trials pre_trials{1, smoke ? 3 : 5};
+    std::vector<NodeId> legacy_ranking, fused_ranking;
+    const auto [legacy_pre_s, fused_pre_s] = bench::time_ab(
+        pre_trials,
+        [&] {
+            legacy_ranking =
+                reference::legacy_presample(stream, pre_nodes);
+        },
+        [&] {
             sample::FrequencyHashmap freq(
                 static_cast<size_t>(stream_len) / 4);
             freq.add_stream(stream);
             fused_ranking = match::presample_ranking(
                 freq.uniques(), freq.counts(), pre_nodes);
-        }
-        fused_pre_s = seconds_since(t0);
-    }
-    const bool presample_identical = check_witness(
-        fnv_bytes(legacy_ranking.data(),
-                  legacy_ranking.size() * sizeof(NodeId)),
-        fnv_bytes(fused_ranking.data(),
-                  fused_ranking.size() * sizeof(NodeId)));
+        });
+    w.key("presample").begin_object();
+    w.key("num_nodes").integer(pre_nodes);
+    w.key("stream").integer(stream_len);
+    w.key("reps").integer(pre_trials.trials);
+    bench::write_spread(w, "legacy_two_pass_s", legacy_pre_s);
+    bench::write_spread(w, "fused_one_pass_s", fused_pre_s);
+    w.key("speedup").fixed(
+        bench::ratio(legacy_pre_s.median, fused_pre_s.median), 3);
+    w.key("identical").boolean(
+        witness.check(legacy_ranking == fused_ranking));
+    w.end_object();
 
-    // ---- JSON report ----------------------------------------------
-    std::printf("{\n");
-    std::printf("  \"bench\": \"gather\",\n");
-    std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
-
-    std::printf("  \"gather\": {\n");
-    std::printf("    \"cases\": [\n");
-    for (size_t c = 0; c < cases.size(); ++c) {
-        const GatherCase &cfg = cases[c];
-        const double panel_gb = double(cfg.batch) * cfg.dim *
-                                sizeof(float) * cfg.reps / 1e9;
-        std::printf("      {\"name\": \"%s\", \"num_nodes\": %lld, "
-                    "\"dim\": %d, \"batch\": %lld, \"reps\": %d,\n",
-                    cfg.name, static_cast<long long>(cfg.num_nodes),
-                    cfg.dim, static_cast<long long>(cfg.batch),
-                    cfg.reps);
-        std::printf("       \"legacy_s\": %.6f, "
-                    "\"legacy_gb_per_s\": %.2f,\n",
-                    cfg.legacy_s,
-                    cfg.legacy_s > 0 ? panel_gb / cfg.legacy_s : 0.0);
-        std::printf("       \"engine\": [\n");
-        for (size_t i = 0; i < cfg.rows.size(); ++i) {
-            const ThreadRow &r = cfg.rows[i];
-            std::printf(
-                "         {\"threads\": %d, \"seconds\": %.6f, "
-                "\"gb_per_s\": %.2f, \"speedup_vs_legacy\": %.3f, "
-                "\"identical\": %s}%s\n",
-                r.threads, r.seconds,
-                r.seconds > 0 ? panel_gb / r.seconds : 0.0,
-                r.seconds > 0 ? cfg.legacy_s / r.seconds : 0.0,
-                r.identical ? "true" : "false",
-                i + 1 < cfg.rows.size() ? "," : "");
-        }
-        std::printf("       ],\n");
-        std::printf("       \"speedup_vs_legacy\": %.3f}%s\n",
-                    cfg.best_engine_s > 0
-                        ? cfg.legacy_s / cfg.best_engine_s
-                        : 0.0,
-                    c + 1 < cases.size() ? "," : "");
-    }
-    std::printf("    ],\n");
-    std::printf("    \"best_speedup_vs_legacy\": %.3f\n  },\n",
-                best_speedup);
-
-    std::printf("  \"fused_cache_gather\": {\n");
-    std::printf("    \"legacy_two_pass_s\": %.6f,\n", legacy_cached_s);
-    std::printf("    \"fused_s\": %.6f,\n", fused_s);
-    std::printf("    \"speedup\": %.3f,\n",
-                fused_s > 0 ? legacy_cached_s / fused_s : 0.0);
-    std::printf("    \"hits\": %lld, \"misses\": %lld,\n",
-                static_cast<long long>(fused.hits),
-                static_cast<long long>(fused.misses));
-    std::printf("    \"identical\": %s\n  },\n",
-                fused_identical ? "true" : "false");
-
-    std::printf("  \"presample\": {\n");
-    std::printf("    \"num_nodes\": %lld, \"stream\": %lld, "
-                "\"reps\": %d,\n",
-                static_cast<long long>(pre_nodes),
-                static_cast<long long>(stream_len), pre_reps);
-    std::printf("    \"legacy_two_pass_s\": %.6f,\n", legacy_pre_s);
-    std::printf("    \"fused_one_pass_s\": %.6f,\n", fused_pre_s);
-    std::printf("    \"speedup\": %.3f,\n",
-                fused_pre_s > 0 ? legacy_pre_s / fused_pre_s : 0.0);
-    std::printf("    \"identical\": %s\n  }\n",
-                presample_identical ? "true" : "false");
-    std::printf("}\n");
-
-    // Replica divergence means the comparison was not apples-to-apples.
-    if (g_diverged) {
-        std::fprintf(stderr,
-                     "FATAL: fast-path output diverged from the legacy "
-                     "replica\n");
-        return 1;
-    }
-    return 0;
+    w.end_object();
+    return witness.finish(w);
 }

@@ -9,60 +9,34 @@
  * the speedups below compare equal work.
  *
  * Output is a single JSON object on stdout so CI can archive it
- * (tools/ci.sh writes BENCH_hotpath.json). Pass --smoke for a
- * seconds-long run with small sizes (numbers are then noisy; the run
- * only has to complete).
+ * (tools/ci.sh writes BENCH_hotpath.json). Every timing is the median
+ * of repeated trials that alternate which side runs first (bench/
+ * harness.h), with its interquartile range next to it. Pass --smoke
+ * for a seconds-long run with small sizes.
  */
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <numeric>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/generators.h"
-#include "util/fingerprint.h"
-#include "util/logging.h"
+#include "harness.h"
+#include "legacy_reference.h"
 #include "match/match_degree.h"
-#include "sample/fused_hash_table.h"
 #include "sample/neighbor_sampler.h"
 #include "sample/random_walk_sampler.h"
+#include "util/fingerprint.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace {
 
 using namespace fastgl;
-using Clock = std::chrono::steady_clock;
-
-double
-seconds_since(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-using util::fnv;
-
-uint64_t
-hash_subgraph(const sample::SampledSubgraph &sg)
-{
-    uint64_t h = util::kFnvOffset;
-    h = fnv(h, static_cast<uint64_t>(sg.num_seeds));
-    h = fnv(h, static_cast<uint64_t>(sg.instances));
-    for (graph::NodeId n : sg.nodes)
-        h = fnv(h, static_cast<uint64_t>(n));
-    for (const auto &blk : sg.blocks) {
-        for (auto p : blk.indptr)
-            h = fnv(h, static_cast<uint64_t>(p));
-        for (auto s : blk.sources)
-            h = fnv(h, static_cast<uint64_t>(s));
-    }
-    return h;
-}
+using reference::hash_subgraph;
 
 // ------------------------------------------------------------------
 // Legacy replicas (the pre-overhaul hot paths, verbatim algorithms).
@@ -484,42 +458,40 @@ random_sorted_set(util::Rng &rng, size_t size, uint64_t universe)
     return v;
 }
 
-struct IntersectionRow
-{
-    const char *name;
-    size_t size_a, size_b;
-    uint64_t universe;
-    double merge_s = 0.0;
-    double adaptive_s = 0.0;
-    int64_t checksum = 0;
-};
-
+/**
+ * Time @p legacy against @p live, each sampling the batch-seed sequence
+ * first_seed, first_seed + 1, ... for @p t.trials trials of
+ * @p per_trial batches, and witness their digests over one pass.
+ */
+template <typename Legacy, typename Live>
 void
-bench_intersections(bool smoke, std::vector<IntersectionRow> &rows)
+write_sampler_ab(util::JsonWriter &w, bench::Witness &witness,
+                 bench::Trials t, int per_trial,
+                 const std::vector<graph::NodeId> &seeds,
+                 uint64_t first_seed, Legacy &legacy, Live &live)
 {
-    const int reps = smoke ? 20 : 400;
-    rows = {
-        {"balanced", 4000, 4000, 20000, 0, 0, 0},
-        {"skew_16x", 250, 4000, 20000, 0, 0, 0},
-        {"skew_128x", 64, 8192, 40000, 0, 0, 0},
-        {"tiny_vs_huge", 8, 32768, 120000, 0, 0, 0},
+    uint64_t legacy_hash = 0, live_hash = 0;
+    auto pass = [&](auto &sampler, uint64_t &h) {
+        h = util::kFnvOffset;
+        for (int i = 0; i < per_trial; ++i)
+            h = util::fnv(h, hash_subgraph(sampler.sample(
+                                 seeds, first_seed + uint64_t(i))));
     };
-    util::Rng rng(42);
-    for (IntersectionRow &row : rows) {
-        const auto a = random_sorted_set(rng, row.size_a, row.universe);
-        const auto b = random_sorted_set(rng, row.size_b, row.universe);
-        int64_t sink = 0;
-        Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < reps; ++r)
-            sink += match::detail::intersect_merge(a, b);
-        row.merge_s = seconds_since(t0);
-        int64_t sink2 = 0;
-        t0 = Clock::now();
-        for (int r = 0; r < reps; ++r)
-            sink2 += match::intersect_sorted(a, b);
-        row.adaptive_s = seconds_since(t0);
-        row.checksum = sink - sink2; // must be zero: same counts
-    }
+    const auto [legacy_s, live_s] =
+        bench::time_ab(t, [&] { pass(legacy, legacy_hash); },
+                       [&] { pass(live, live_hash); });
+    w.begin_object();
+    w.key("batches").integer(per_trial);
+    bench::write_spread(w, "legacy_s", legacy_s);
+    bench::write_spread(w, "hotpath_s", live_s);
+    w.key("legacy_batches_per_s")
+        .fixed(bench::ratio(per_trial, legacy_s.median), 2);
+    w.key("hotpath_batches_per_s")
+        .fixed(bench::ratio(per_trial, live_s.median), 2);
+    w.key("speedup").fixed(bench::ratio(legacy_s.median, live_s.median),
+                           3);
+    w.key("identical").boolean(witness.check(legacy_hash, live_hash));
+    w.end_object();
 }
 
 } // namespace
@@ -527,15 +499,60 @@ bench_intersections(bool smoke, std::vector<IntersectionRow> &rows)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bool smoke = bench::parse_smoke(argc, argv);
+    const bench::Trials trials{1, smoke ? 7 : 15};
+    bench::Witness witness;
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("bench").string("hotpath");
+    w.key("smoke").boolean(smoke);
 
     // ---- adaptive intersection kernels ----------------------------
-    std::vector<IntersectionRow> inter_rows;
-    bench_intersections(smoke, inter_rows);
+    struct Case
+    {
+        const char *name;
+        size_t size_a, size_b;
+        uint64_t universe;
+    };
+    const Case cases[] = {
+        {"balanced", 4000, 4000, 20000},
+        {"skew_16x", 250, 4000, 20000},
+        {"skew_128x", 64, 8192, 40000},
+        {"tiny_vs_huge", 8, 32768, 120000},
+    };
+    const int reps = smoke ? 20 : 400;
+    w.key("intersection").begin_array();
+    {
+        util::Rng rng(42);
+        for (const Case &c : cases) {
+            const auto a = random_sorted_set(rng, c.size_a, c.universe);
+            const auto b = random_sorted_set(rng, c.size_b, c.universe);
+            int64_t merge_sum = 0, adaptive_sum = 0;
+            const auto [merge_s, adaptive_s] = bench::time_ab(
+                trials,
+                [&] {
+                    for (int r = 0; r < reps; ++r)
+                        merge_sum += match::detail::intersect_merge(a, b);
+                },
+                [&] {
+                    for (int r = 0; r < reps; ++r)
+                        adaptive_sum += match::intersect_sorted(a, b);
+                });
+            w.begin_object();
+            w.key("case").string(c.name);
+            w.key("size_a").integer(c.size_a);
+            w.key("size_b").integer(c.size_b);
+            w.key("reps").integer(reps);
+            bench::write_spread(w, "merge_s", merge_s);
+            bench::write_spread(w, "adaptive_s", adaptive_s);
+            w.key("speedup").fixed(
+                bench::ratio(merge_s.median, adaptive_s.median), 3);
+            w.key("counts_match")
+                .boolean(witness.check(merge_sum == adaptive_sum));
+            w.end_object();
+        }
+    }
+    w.end_array();
 
     // ---- match-degree matrix --------------------------------------
     const size_t num_sets = smoke ? 16 : 96;
@@ -551,40 +568,38 @@ main(int argc, char **argv)
             sets.emplace_back(v);
         }
     }
-    const int matrix_reps = smoke ? 1 : 5;
-
-    Clock::time_point t0 = Clock::now();
-    std::vector<std::vector<double>> legacy_m;
-    for (int r = 0; r < matrix_reps; ++r)
-        legacy_m = legacy_match_degree_matrix(sets);
-    const double legacy_matrix_s = seconds_since(t0) / matrix_reps;
-
-    t0 = Clock::now();
-    std::vector<std::vector<double>> seq_m;
-    for (int r = 0; r < matrix_reps; ++r)
-        seq_m = match::match_degree_matrix(sets);
-    const double seq_matrix_s = seconds_since(t0) / matrix_reps;
-    const bool matrix_identical = legacy_m == seq_m;
-
-    struct ThreadRow
-    {
-        size_t threads;
-        double seconds;
-        bool identical;
-    };
-    std::vector<ThreadRow> thread_rows;
+    const bench::Trials matrix_trials{1, smoke ? 5 : 9};
+    std::vector<std::vector<double>> legacy_m, seq_m;
+    const auto [legacy_matrix_s, seq_matrix_s] = bench::time_ab(
+        matrix_trials, [&] { legacy_m = legacy_match_degree_matrix(sets); },
+        [&] { seq_m = match::match_degree_matrix(sets); });
+    w.key("match_degree_matrix").begin_object();
+    w.key("num_sets").integer(num_sets);
+    bench::write_spread(w, "legacy_merge_seq_s", legacy_matrix_s);
+    bench::write_spread(w, "adaptive_seq_s", seq_matrix_s);
+    w.key("adaptive_seq_speedup")
+        .fixed(bench::ratio(legacy_matrix_s.median, seq_matrix_s.median),
+               3);
+    w.key("seq_identical").boolean(witness.check(legacy_m == seq_m));
+    w.key("parallel").begin_array();
     for (size_t threads : {1, 2, 4, 8}) {
         util::ThreadPool pool(threads);
         std::vector<std::vector<double>> par_m;
-        t0 = Clock::now();
-        for (int r = 0; r < matrix_reps; ++r)
-            par_m = match::match_degree_matrix(sets, pool);
-        thread_rows.push_back({threads,
-                               seconds_since(t0) / matrix_reps,
-                               par_m == legacy_m});
+        const bench::Spread s = bench::time_trials(
+            matrix_trials,
+            [&] { par_m = match::match_degree_matrix(sets, pool); });
+        w.begin_object();
+        w.key("threads").integer(threads);
+        bench::write_spread(w, "seconds", s);
+        w.key("speedup_vs_legacy")
+            .fixed(bench::ratio(legacy_matrix_s.median, s.median), 3);
+        w.key("identical").boolean(witness.check(par_m == legacy_m));
+        w.end_object();
     }
+    w.end_array();
+    w.end_object();
 
-    // ---- neighbour sampler ----------------------------------------
+    // ---- samplers -------------------------------------------------
     graph::RmatParams rp;
     rp.num_nodes = smoke ? (1 << 12) : (1 << 15);
     rp.num_edges = smoke ? (1 << 16) : (1 << 19);
@@ -598,127 +613,24 @@ main(int argc, char **argv)
             seeds.push_back(static_cast<graph::NodeId>(
                 rng.next_below(static_cast<uint64_t>(g.num_nodes()))));
     }
-    const int batches = smoke ? 8 : 64;
+    const bench::Trials sampler_trials{1, smoke ? 5 : 9};
+    const int per_trial = smoke ? 4 : 8;
 
-    // Legacy and hot-path runs are interleaved in short rounds so slow
-    // machine drift (frequency scaling, co-tenant noise) hits both
-    // sides equally; each side samples the same batch-seed sequence.
     sample::NeighborSamplerOptions nopts;
     nopts.fanouts = {5, 10, 15};
-
     LegacyNeighborSampler legacy_khop(g, nopts);
     sample::NeighborSampler khop(g, nopts);
-    legacy_khop.sample(seeds, 999); // warm-up, untimed
-    khop.sample(seeds, 999);
-    uint64_t legacy_hash = 0, hotpath_hash = 0;
-    double legacy_khop_s = 0.0, hotpath_khop_s = 0.0;
-    const int rounds = smoke ? 2 : 8;
-    const int per_round = batches / rounds;
-    for (int r = 0; r < rounds; ++r) {
-        t0 = Clock::now();
-        for (int i = 0; i < per_round; ++i)
-            legacy_hash ^= hash_subgraph(legacy_khop.sample(
-                seeds, 1000 + uint64_t(r * per_round + i)));
-        legacy_khop_s += seconds_since(t0);
-        t0 = Clock::now();
-        for (int i = 0; i < per_round; ++i)
-            hotpath_hash ^= hash_subgraph(khop.sample(
-                seeds, 1000 + uint64_t(r * per_round + i)));
-        hotpath_khop_s += seconds_since(t0);
-    }
+    w.key("neighbor_sampler");
+    write_sampler_ab(w, witness, sampler_trials, per_trial, seeds, 1000,
+                     legacy_khop, khop);
 
-    // ---- random-walk sampler --------------------------------------
     sample::RandomWalkOptions wopts;
     LegacyRandomWalkSampler legacy_walk(g, wopts);
     sample::RandomWalkSampler walk(g, wopts);
-    legacy_walk.sample(seeds, 1999); // warm-up, untimed
-    walk.sample(seeds, 1999);
-    uint64_t legacy_walk_hash = 0, hotpath_walk_hash = 0;
-    double legacy_walk_s = 0.0, hotpath_walk_s = 0.0;
-    for (int r = 0; r < rounds; ++r) {
-        t0 = Clock::now();
-        for (int i = 0; i < per_round; ++i)
-            legacy_walk_hash ^= hash_subgraph(legacy_walk.sample(
-                seeds, 2000 + uint64_t(r * per_round + i)));
-        legacy_walk_s += seconds_since(t0);
-        t0 = Clock::now();
-        for (int i = 0; i < per_round; ++i)
-            hotpath_walk_hash ^= hash_subgraph(walk.sample(
-                seeds, 2000 + uint64_t(r * per_round + i)));
-        hotpath_walk_s += seconds_since(t0);
-    }
+    w.key("random_walk_sampler");
+    write_sampler_ab(w, witness, sampler_trials, per_trial, seeds, 2000,
+                     legacy_walk, walk);
 
-    // ---- JSON report ----------------------------------------------
-    std::printf("{\n");
-    std::printf("  \"bench\": \"hotpath\",\n");
-    std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
-
-    std::printf("  \"intersection\": [\n");
-    for (size_t i = 0; i < inter_rows.size(); ++i) {
-        const IntersectionRow &r = inter_rows[i];
-        std::printf("    {\"case\": \"%s\", \"size_a\": %zu, "
-                    "\"size_b\": %zu, \"merge_s\": %.6f, "
-                    "\"adaptive_s\": %.6f, \"speedup\": %.3f, "
-                    "\"counts_match\": %s}%s\n",
-                    r.name, r.size_a, r.size_b, r.merge_s,
-                    r.adaptive_s,
-                    r.adaptive_s > 0 ? r.merge_s / r.adaptive_s : 0.0,
-                    r.checksum == 0 ? "true" : "false",
-                    i + 1 < inter_rows.size() ? "," : "");
-    }
-    std::printf("  ],\n");
-
-    std::printf("  \"match_degree_matrix\": {\n");
-    std::printf("    \"num_sets\": %zu,\n", num_sets);
-    std::printf("    \"legacy_merge_seq_s\": %.6f,\n", legacy_matrix_s);
-    std::printf("    \"adaptive_seq_s\": %.6f,\n", seq_matrix_s);
-    std::printf("    \"adaptive_seq_speedup\": %.3f,\n",
-                seq_matrix_s > 0 ? legacy_matrix_s / seq_matrix_s : 0.0);
-    std::printf("    \"seq_identical\": %s,\n",
-                matrix_identical ? "true" : "false");
-    std::printf("    \"parallel\": [\n");
-    for (size_t i = 0; i < thread_rows.size(); ++i) {
-        const ThreadRow &r = thread_rows[i];
-        std::printf("      {\"threads\": %zu, \"seconds\": %.6f, "
-                    "\"speedup_vs_legacy\": %.3f, \"identical\": %s}%s\n",
-                    r.threads, r.seconds,
-                    r.seconds > 0 ? legacy_matrix_s / r.seconds : 0.0,
-                    r.identical ? "true" : "false",
-                    i + 1 < thread_rows.size() ? "," : "");
-    }
-    std::printf("    ]\n  },\n");
-
-    std::printf("  \"neighbor_sampler\": {\n");
-    std::printf("    \"batches\": %d,\n", batches);
-    std::printf("    \"legacy_batches_per_s\": %.2f,\n",
-                batches / legacy_khop_s);
-    std::printf("    \"hotpath_batches_per_s\": %.2f,\n",
-                batches / hotpath_khop_s);
-    std::printf("    \"speedup\": %.3f,\n",
-                legacy_khop_s / hotpath_khop_s);
-    std::printf("    \"identical\": %s\n  },\n",
-                legacy_hash == hotpath_hash ? "true" : "false");
-
-    std::printf("  \"random_walk_sampler\": {\n");
-    std::printf("    \"batches\": %d,\n", batches);
-    std::printf("    \"legacy_batches_per_s\": %.2f,\n",
-                batches / legacy_walk_s);
-    std::printf("    \"hotpath_batches_per_s\": %.2f,\n",
-                batches / hotpath_walk_s);
-    std::printf("    \"speedup\": %.3f,\n",
-                legacy_walk_s / hotpath_walk_s);
-    std::printf("    \"identical\": %s\n  }\n",
-                legacy_walk_hash == hotpath_walk_hash ? "true"
-                                                      : "false");
-    std::printf("}\n");
-
-    // Replica divergence means the comparison was not apples-to-apples.
-    if (legacy_hash != hotpath_hash ||
-        legacy_walk_hash != hotpath_walk_hash || !matrix_identical) {
-        std::fprintf(stderr,
-                     "FATAL: legacy replica output diverged from the "
-                     "live implementation\n");
-        return 1;
-    }
-    return 0;
+    w.end_object();
+    return witness.finish(w);
 }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "fastgl.h"
+#include "harness.h"
 #include "util/fingerprint.h"
 
 namespace {
@@ -72,11 +73,7 @@ struct OocRow
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bool smoke = bench::parse_smoke(argc, argv);
 
     graph::ReplicaOptions ropts;
     ropts.materialize_features = true;
@@ -228,53 +225,43 @@ main(int argc, char **argv)
     const bool ok = losses_identical && prefetch_pays &&
                     relayout_pays && full_host_exact && deterministic;
 
-    std::printf("{\n");
-    std::printf("  \"bench\": \"oocstore\",\n");
-    std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::printf("  \"dataset\": \"%s\",\n", ds.name.c_str());
-    std::printf("  \"batches\": %lld,\n",
-                static_cast<long long>(max_batches));
-    std::printf("  \"rows\": %lld,\n",
-                static_cast<long long>(ds.graph.num_nodes()));
-    std::printf("  \"grid\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const OocRow &row = rows[i];
-        std::printf(
-            "    {\"config\": \"%s\", \"storage\": \"%s\", "
-            "\"host_fraction\": %.2f, \"host_rows\": %lld, "
-            "\"prefetch_depth\": %d, \"relayout\": %s, "
-            "\"loss_hash\": \"0x%016llx\", \"mean_loss\": %.6f, "
-            "\"stall_s\": %.9f, \"hidden_s\": %.9f, "
-            "\"epoch_s\": %.9f, \"block_hit_rate\": %.4f, "
-            "\"storage_rows\": %lld, \"demand_blocks\": %lld, "
-            "\"demand_fetched\": %lld, \"prefetch_hits\": %lld}%s\n",
-            row.cfg.name, store::storage_kind_name(row.cfg.storage),
-            row.cfg.host_fraction,
-            static_cast<long long>(row.host_rows),
-            row.cfg.prefetch_depth, row.cfg.relayout ? "true" : "false",
-            static_cast<unsigned long long>(row.loss_hash),
-            row.mean_loss, row.stall_s, row.hidden_s, row.epoch_s,
-            row.block_hit_rate,
-            static_cast<long long>(row.storage_rows),
-            static_cast<long long>(row.demand_blocks),
-            static_cast<long long>(row.demand_fetched),
-            static_cast<long long>(row.prefetch_hits),
-            i + 1 < rows.size() ? "," : "");
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("bench").string("oocstore");
+    w.key("smoke").boolean(smoke);
+    w.key("dataset").string(ds.name);
+    w.key("batches").integer(max_batches);
+    w.key("rows").integer(ds.graph.num_nodes());
+    w.key("grid").begin_array();
+    for (const OocRow &row : rows) {
+        w.begin_object();
+        w.key("config").string(row.cfg.name);
+        w.key("storage").string(store::storage_kind_name(row.cfg.storage));
+        w.key("host_fraction").fixed(row.cfg.host_fraction, 2);
+        w.key("host_rows").integer(row.host_rows);
+        w.key("prefetch_depth").integer(row.cfg.prefetch_depth);
+        w.key("relayout").boolean(row.cfg.relayout);
+        w.key("loss_hash").hash(row.loss_hash);
+        w.key("mean_loss").fixed(row.mean_loss, 6);
+        w.key("stall_s").fixed(row.stall_s, 9);
+        w.key("hidden_s").fixed(row.hidden_s, 9);
+        w.key("epoch_s").fixed(row.epoch_s, 9);
+        w.key("block_hit_rate").fixed(row.block_hit_rate, 4);
+        w.key("storage_rows").integer(row.storage_rows);
+        w.key("demand_blocks").integer(row.demand_blocks);
+        w.key("demand_fetched").integer(row.demand_fetched);
+        w.key("prefetch_hits").integer(row.prefetch_hits);
+        w.end_object();
     }
-    std::printf("  ],\n");
-    std::printf("  \"checks\": {\n");
-    std::printf("    \"losses_bit_identical_to_in_memory\": %s,\n",
-                losses_identical ? "true" : "false");
-    std::printf("    \"prefetch_cuts_stall_at_25pct\": %s,\n",
-                prefetch_pays ? "true" : "false");
-    std::printf("    \"relayout_raises_block_hit_rate\": %s,\n",
-                relayout_pays ? "true" : "false");
-    std::printf("    \"full_host_fraction_exactly_in_memory\": %s,\n",
-                full_host_exact ? "true" : "false");
-    std::printf("    \"deterministic_across_runs_and_widths\": %s\n",
-                deterministic ? "true" : "false");
-    std::printf("  },\n");
-    std::printf("  \"ok\": %s\n", ok ? "true" : "false");
-    std::printf("}\n");
-    return ok ? 0 : 1;
+    w.end_array();
+    w.key("checks").begin_object();
+    w.key("losses_bit_identical_to_in_memory").boolean(losses_identical);
+    w.key("prefetch_cuts_stall_at_25pct").boolean(prefetch_pays);
+    w.key("relayout_raises_block_hit_rate").boolean(relayout_pays);
+    w.key("full_host_fraction_exactly_in_memory").boolean(full_host_exact);
+    w.key("deterministic_across_runs_and_widths").boolean(deterministic);
+    w.end_object();
+    w.key("ok").boolean(ok);
+    w.end_object();
+    return bench::finish(w, ok);
 }

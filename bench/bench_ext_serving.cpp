@@ -21,11 +21,11 @@
  */
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "fastgl.h"
+#include "harness.h"
 
 namespace {
 
@@ -51,11 +51,7 @@ struct Row
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bool smoke = bench::parse_smoke(argc, argv);
 
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
@@ -135,47 +131,42 @@ main(int argc, char **argv)
 
     const bool ok = improves && sheds && p99_finite;
 
-    std::printf("{\n");
-    std::printf("  \"bench\": \"serving\",\n");
-    std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::printf("  \"dataset\": \"%s\",\n", ds.name.c_str());
-    std::printf("  \"num_requests\": %lld,\n",
-                static_cast<long long>(num_requests));
-    std::printf("  \"slo_deadline_s\": %g,\n", slo);
-    std::printf("  \"sweep\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("bench").string("serving");
+    w.key("smoke").boolean(smoke);
+    w.key("dataset").string(ds.name);
+    w.key("num_requests").integer(num_requests);
+    w.key("slo_deadline_s").general(slo, 6);
+    w.key("sweep").begin_array();
+    for (const Row &row : rows) {
         const serve::ServingStats &st = row.stats;
-        std::printf(
-            "    {\"config\": \"%s\", \"rate_rps\": %.0f, "
-            "\"served\": %lld, \"served_late\": %lld, "
-            "\"embedding_hits\": %lld, \"shed_rate\": %.4f, "
-            "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
-            "\"throughput_rps\": %.1f, \"goodput_rps\": %.1f, "
-            "\"mean_batch\": %.2f, \"feature_hit_rate\": %.3f, "
-            "\"embedding_hit_rate\": %.3f, \"gpu_utilization\": %.3f, "
-            "\"fingerprint\": \"0x%016llx\"}%s\n",
-            row.config.c_str(), row.rate_rps,
-            static_cast<long long>(st.served),
-            static_cast<long long>(st.served_late),
-            static_cast<long long>(st.embedding_hits), st.shed_rate,
-            st.p50_latency * 1e3, st.p95_latency * 1e3,
-            st.p99_latency * 1e3, st.throughput_rps, st.goodput_rps,
-            st.mean_batch_size, st.feature_hit_rate,
-            st.embedding_hit_rate, st.gpu_utilization,
-            static_cast<unsigned long long>(st.fingerprint),
-            i + 1 < rows.size() ? "," : "");
+        w.begin_object();
+        w.key("config").string(row.config);
+        w.key("rate_rps").fixed(row.rate_rps, 0);
+        w.key("served").integer(st.served);
+        w.key("served_late").integer(st.served_late);
+        w.key("embedding_hits").integer(st.embedding_hits);
+        w.key("shed_rate").fixed(st.shed_rate, 4);
+        w.key("p50_ms").fixed(st.p50_latency * 1e3, 4);
+        w.key("p95_ms").fixed(st.p95_latency * 1e3, 4);
+        w.key("p99_ms").fixed(st.p99_latency * 1e3, 4);
+        w.key("throughput_rps").fixed(st.throughput_rps, 1);
+        w.key("goodput_rps").fixed(st.goodput_rps, 1);
+        w.key("mean_batch").fixed(st.mean_batch_size, 2);
+        w.key("feature_hit_rate").fixed(st.feature_hit_rate, 3);
+        w.key("embedding_hit_rate").fixed(st.embedding_hit_rate, 3);
+        w.key("gpu_utilization").fixed(st.gpu_utilization, 3);
+        w.key("fingerprint").hash(st.fingerprint);
+        w.end_object();
     }
-    std::printf("  ],\n");
-    std::printf("  \"checks\": {\n");
-    std::printf("    \"batching_and_caches_beat_baseline\": %s,\n",
-                improves ? "true" : "false");
-    std::printf("    \"shedding_engages_under_overload\": %s,\n",
-                sheds ? "true" : "false");
-    std::printf("    \"all_p99_finite\": %s\n",
-                p99_finite ? "true" : "false");
-    std::printf("  },\n");
-    std::printf("  \"ok\": %s\n", ok ? "true" : "false");
-    std::printf("}\n");
-    return ok ? 0 : 1;
+    w.end_array();
+    w.key("checks").begin_object();
+    w.key("batching_and_caches_beat_baseline").boolean(improves);
+    w.key("shedding_engages_under_overload").boolean(sheds);
+    w.key("all_p99_finite").boolean(p99_finite);
+    w.end_object();
+    w.key("ok").boolean(ok);
+    w.end_object();
+    return bench::finish(w, ok);
 }

@@ -24,11 +24,11 @@
  */
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "fastgl.h"
+#include "harness.h"
 
 namespace {
 
@@ -77,11 +77,7 @@ record_warmup(const graph::Dataset &ds, uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bool smoke = bench::parse_smoke(argc, argv);
 
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
@@ -180,81 +176,69 @@ main(int argc, char **argv)
 
     const bool ok = isolates && warmup_pays && fair && p99_finite;
 
-    std::printf("{\n");
-    std::printf("  \"bench\": \"serving_multimodel\",\n");
-    std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::printf("  \"dataset\": \"%s\",\n", ds.name.c_str());
-    std::printf("  \"num_requests\": %lld,\n",
-                static_cast<long long>(num_requests));
-    std::printf("  \"slo_deadline_s\": %g,\n", slo);
-    std::printf("  \"tiers\": [\"gcn\", \"gat\"],\n");
-    std::printf("  \"class_mix\": [0.3, 0.4, 0.3],\n");
-    std::printf("  \"model_mix\": [0.7, 0.3],\n");
-    std::printf("  \"sweep\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("bench").string("serving_multimodel");
+    w.key("smoke").boolean(smoke);
+    w.key("dataset").string(ds.name);
+    w.key("num_requests").integer(num_requests);
+    w.key("slo_deadline_s").general(slo, 6);
+    w.key("tiers").begin_array().string("gcn").string("gat").end_array();
+    w.key("class_mix").begin_array();
+    w.fixed(0.3, 1).fixed(0.4, 1).fixed(0.3, 1).end_array();
+    w.key("model_mix").begin_array().fixed(0.7, 1).fixed(0.3, 1);
+    w.end_array();
+    w.key("sweep").begin_array();
+    for (const Row &row : rows) {
         const serve::ServingStats &st = row.stats;
-        std::printf(
-            "    {\"warmed\": %s, \"rate_rps\": %.0f, "
-            "\"served\": %lld, \"served_late\": %lld, "
-            "\"shed_rate\": %.4f, \"p99_ms\": %.4f, "
-            "\"embedding_hit_rate\": %.3f, \"warmed_rows\": %lld,\n",
-            row.warmed ? "true" : "false", row.rate_rps,
-            static_cast<long long>(st.served),
-            static_cast<long long>(st.served_late), st.shed_rate,
-            st.p99_latency * 1e3, st.embedding_hit_rate,
-            static_cast<long long>(st.warmed_rows));
-        std::printf("     \"classes\": {");
+        w.begin_object();
+        w.key("warmed").boolean(row.warmed);
+        w.key("rate_rps").fixed(row.rate_rps, 0);
+        w.key("served").integer(st.served);
+        w.key("served_late").integer(st.served_late);
+        w.key("shed_rate").fixed(st.shed_rate, 4);
+        w.key("p99_ms").fixed(st.p99_latency * 1e3, 4);
+        w.key("embedding_hit_rate").fixed(st.embedding_hit_rate, 3);
+        w.key("warmed_rows").integer(st.warmed_rows);
+        w.key("classes").begin_object();
         for (size_t c = 0; c < serve::kNumPriorityClasses; ++c) {
             const serve::PriorityClassStats &cls = st.per_class[c];
-            std::printf(
-                "\"%s\": {\"offered\": %lld, \"served\": %lld, "
-                "\"late\": %lld, \"shed\": %lld, \"p99_ms\": %.4f}%s",
-                serve::priority_name(static_cast<serve::Priority>(c)),
-                static_cast<long long>(cls.offered),
-                static_cast<long long>(cls.served),
-                static_cast<long long>(cls.served_late),
-                static_cast<long long>(cls.shed_queue +
-                                       cls.dropped_deadline),
-                cls.p99_latency * 1e3,
-                c + 1 < serve::kNumPriorityClasses ? ", " : "");
+            w.key(serve::priority_name(static_cast<serve::Priority>(c)));
+            w.begin_object();
+            w.key("offered").integer(cls.offered);
+            w.key("served").integer(cls.served);
+            w.key("late").integer(cls.served_late);
+            w.key("shed").integer(cls.shed_queue + cls.dropped_deadline);
+            w.key("p99_ms").fixed(cls.p99_latency * 1e3, 4);
+            w.end_object();
         }
-        std::printf("},\n");
-        std::printf("     \"tiers\": {");
-        for (size_t m = 0; m < st.per_model.size(); ++m) {
-            const serve::ModelTierStats &tier = st.per_model[m];
-            std::printf(
-                "\"%s\": {\"offered\": %lld, \"served\": %lld, "
-                "\"batches\": %lld, \"mean_batch\": %.2f, "
-                "\"busy_ms\": %.3f}%s",
-                tier.name.c_str(),
-                static_cast<long long>(tier.offered),
-                static_cast<long long>(tier.served),
-                static_cast<long long>(tier.batches),
-                tier.mean_batch_size, tier.gpu_busy_seconds * 1e3,
-                m + 1 < st.per_model.size() ? ", " : "");
+        w.end_object();
+        w.key("tiers").begin_object();
+        for (const serve::ModelTierStats &tier : st.per_model) {
+            w.key(tier.name).begin_object();
+            w.key("offered").integer(tier.offered);
+            w.key("served").integer(tier.served);
+            w.key("batches").integer(tier.batches);
+            w.key("mean_batch").fixed(tier.mean_batch_size, 2);
+            w.key("busy_ms").fixed(tier.gpu_busy_seconds * 1e3, 3);
+            w.end_object();
         }
-        std::printf("},\n");
-        std::printf("     \"fingerprint\": \"0x%016llx\"}%s\n",
-                    static_cast<unsigned long long>(st.fingerprint),
-                    i + 1 < rows.size() ? "," : "");
+        w.end_object();
+        w.key("fingerprint").hash(st.fingerprint);
+        w.end_object();
     }
-    std::printf("  ],\n");
-    std::printf("  \"cold_p99_ms\": %.4f,\n", cold.p99_latency * 1e3);
-    std::printf("  \"warmed_p99_ms\": %.4f,\n", warm.p99_latency * 1e3);
-    std::printf("  \"warmup_p99_delta_ms\": %.4f,\n",
-                (cold.p99_latency - warm.p99_latency) * 1e3);
-    std::printf("  \"checks\": {\n");
-    std::printf("    \"paid_isolated_under_overload\": %s,\n",
-                isolates ? "true" : "false");
-    std::printf("    \"warmup_lifts_hits_and_tail\": %s,\n",
-                warmup_pays ? "true" : "false");
-    std::printf("    \"no_tier_starved\": %s,\n",
-                fair ? "true" : "false");
-    std::printf("    \"all_p99_finite\": %s\n",
-                p99_finite ? "true" : "false");
-    std::printf("  },\n");
-    std::printf("  \"ok\": %s\n", ok ? "true" : "false");
-    std::printf("}\n");
-    return ok ? 0 : 1;
+    w.end_array();
+    w.key("cold_p99_ms").fixed(cold.p99_latency * 1e3, 4);
+    w.key("warmed_p99_ms").fixed(warm.p99_latency * 1e3, 4);
+    w.key("warmup_p99_delta_ms")
+        .fixed((cold.p99_latency - warm.p99_latency) * 1e3, 4);
+    w.key("checks").begin_object();
+    w.key("paid_isolated_under_overload").boolean(isolates);
+    w.key("warmup_lifts_hits_and_tail").boolean(warmup_pays);
+    w.key("no_tier_starved").boolean(fair);
+    w.key("all_p99_finite").boolean(p99_finite);
+    w.end_object();
+    w.key("ok").boolean(ok);
+    w.end_object();
+    return bench::finish(w, ok);
 }

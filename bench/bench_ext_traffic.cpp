@@ -26,10 +26,10 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "fastgl.h"
+#include "harness.h"
 
 namespace {
 
@@ -80,22 +80,20 @@ to_row(const serve::ServingStats &st)
 }
 
 void
-print_run(const char *name, const RunRow &row, bool comma)
+write_run(util::JsonWriter &w, const char *name, const RunRow &row)
 {
-    std::printf(
-        "    \"%s\": {\"fingerprint\": \"0x%016llx\", "
-        "\"offered\": %lld, \"served\": %lld, \"served_late\": %lld, "
-        "\"shed\": %lld, \"dropped\": %lld, \"shed_rate\": %.4f, "
-        "\"p99_s\": %.6f, \"goodput_rps\": %.1f, "
-        "\"slo_misses\": %lld}%s\n",
-        name, static_cast<unsigned long long>(row.fingerprint),
-        static_cast<long long>(row.offered),
-        static_cast<long long>(row.served),
-        static_cast<long long>(row.served_late),
-        static_cast<long long>(row.shed),
-        static_cast<long long>(row.dropped), row.shed_rate, row.p99,
-        row.goodput, static_cast<long long>(row.slo_misses),
-        comma ? "," : "");
+    w.key(name).begin_object();
+    w.key("fingerprint").hash(row.fingerprint);
+    w.key("offered").integer(row.offered);
+    w.key("served").integer(row.served);
+    w.key("served_late").integer(row.served_late);
+    w.key("shed").integer(row.shed);
+    w.key("dropped").integer(row.dropped);
+    w.key("shed_rate").fixed(row.shed_rate, 4);
+    w.key("p99_s").fixed(row.p99, 6);
+    w.key("goodput_rps").fixed(row.goodput, 1);
+    w.key("slo_misses").integer(row.slo_misses);
+    w.end_object();
 }
 
 bool
@@ -112,11 +110,7 @@ class_order_preserved(const RunRow &row)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bool smoke = bench::parse_smoke(argc, argv);
 
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
@@ -298,42 +292,34 @@ main(int argc, char **argv)
                     autoscaler_scaled && autoscale_cuts_misses &&
                     paid_isolation && deterministic;
 
-    std::printf("{\n");
-    std::printf("  \"bench\": \"traffic\",\n");
-    std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::printf("  \"dataset\": \"%s\",\n", ds.name.c_str());
-    std::printf("  \"profile_fingerprint\": \"0x%016llx\",\n",
-                static_cast<unsigned long long>(profile_fp));
-    std::printf("  \"loops\": {\n");
-    print_run("open", open_row, true);
-    print_run("closed", closed_row, false);
-    std::printf("  },\n");
-    std::printf("  \"flash\": {\n");
-    print_run("fixed_pool", fixed_row, true);
-    print_run("autoscaled", auto_row, true);
-    std::printf("    \"scale_events\": %zu,\n", auto_row.events);
-    std::printf("    \"final_workers\": %d,\n",
-                auto_row.autoscale.final_workers);
-    std::printf("    \"first_pressure_s\": %.6f,\n",
-                auto_row.autoscale.first_pressure_at);
-    std::printf("    \"scale_up_lag_s\": %.6f\n",
-                auto_row.autoscale.scale_up_lag);
-    std::printf("  },\n");
-    std::printf("  \"checks\": {\n");
-    std::printf("    \"profile_on_off_bit_identical\": %s,\n",
-                profile_transparent ? "true" : "false");
-    std::printf("    \"closed_loop_sheds_less_than_open\": %s,\n",
-                closed_sheds_less ? "true" : "false");
-    std::printf("    \"autoscaler_scaled_up\": %s,\n",
-                autoscaler_scaled ? "true" : "false");
-    std::printf("    \"autoscale_cuts_slo_misses\": %s,\n",
-                autoscale_cuts_misses ? "true" : "false");
-    std::printf("    \"paid_tier_isolation_preserved\": %s,\n",
-                paid_isolation ? "true" : "false");
-    std::printf("    \"deterministic_across_runs_and_widths\": %s\n",
-                deterministic ? "true" : "false");
-    std::printf("  },\n");
-    std::printf("  \"ok\": %s\n", ok ? "true" : "false");
-    std::printf("}\n");
-    return ok ? 0 : 1;
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("bench").string("traffic");
+    w.key("smoke").boolean(smoke);
+    w.key("dataset").string(ds.name);
+    w.key("profile_fingerprint").hash(profile_fp);
+    w.key("loops").begin_object();
+    write_run(w, "open", open_row);
+    write_run(w, "closed", closed_row);
+    w.end_object();
+    w.key("flash").begin_object();
+    write_run(w, "fixed_pool", fixed_row);
+    write_run(w, "autoscaled", auto_row);
+    w.key("scale_events").integer(auto_row.events);
+    w.key("final_workers").integer(auto_row.autoscale.final_workers);
+    w.key("first_pressure_s")
+        .fixed(auto_row.autoscale.first_pressure_at, 6);
+    w.key("scale_up_lag_s").fixed(auto_row.autoscale.scale_up_lag, 6);
+    w.end_object();
+    w.key("checks").begin_object();
+    w.key("profile_on_off_bit_identical").boolean(profile_transparent);
+    w.key("closed_loop_sheds_less_than_open").boolean(closed_sheds_less);
+    w.key("autoscaler_scaled_up").boolean(autoscaler_scaled);
+    w.key("autoscale_cuts_slo_misses").boolean(autoscale_cuts_misses);
+    w.key("paid_tier_isolation_preserved").boolean(paid_isolation);
+    w.key("deterministic_across_runs_and_widths").boolean(deterministic);
+    w.end_object();
+    w.key("ok").boolean(ok);
+    w.end_object();
+    return bench::finish(w, ok);
 }

@@ -1,7 +1,6 @@
 #include "compute/kernel_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "util/arena.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 // The blocked GEMM microkernel is stamped once per instruction set and
 // selected at runtime. Both stamps execute the exact same IEEE mul/add
@@ -82,13 +82,10 @@ time_gemm(const Kernels &ks)
     ks.pack_b(a.data(), d, d, packed.data());
     double best = 1e30;
     for (int round = 0; round < 3; ++round) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const fastgl::util::WallTimer timer;
         ks.gemm_rows(a.data(), d, 1, packed.data(), d, d, true, nullptr,
                      0, 0.0f, c.data(), 0, d);
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
+        best = std::min(best, timer.elapsed_seconds());
     }
     return best;
 }
@@ -108,13 +105,10 @@ time_agg(const Kernels &ks)
         out(targets * dim);
     double best = 1e30;
     for (int round = 0; round < 3; ++round) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const fastgl::util::WallTimer timer;
         ks.agg_forward_rows(indptr.data(), sources.data(), wts.data(),
                             in.data(), dim, out.data(), 0, targets);
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
+        best = std::min(best, timer.elapsed_seconds());
     }
     return best;
 }
@@ -150,14 +144,6 @@ kernels()
 }
 
 constexpr int64_t kPanelWidth = base::kNr;
-
-using Clock = std::chrono::steady_clock;
-
-double
-seconds_since(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 } // namespace
 
@@ -251,7 +237,7 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
     if (m == 0 || n == 0)
         return;
 
-    const Clock::time_point t0 = Clock::now();
+    const util::WallTimer timer;
     const Kernels &ks = kernels();
 
     // Pack all of B once into panel layout, in per-caller-thread arena
@@ -278,7 +264,7 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
     });
 
     if (record_stats_) {
-        stats_.gemm_seconds += seconds_since(t0);
+        stats_.gemm_seconds += timer.elapsed_seconds();
         stats_.gemm_flops +=
             2.0 * double(m) * double(n) * double(k);
         ++stats_.gemm_calls;
@@ -404,7 +390,7 @@ KernelEngine::aggregate_forward(const sample::LayerBlock &block,
                  "aggregate output shape mismatch");
     block.validate(in.rows());
     const int64_t dim = in.cols();
-    const Clock::time_point t0 = Clock::now();
+    const util::WallTimer timer;
     const Kernels &ks = kernels();
     const graph::EdgeId *indptr = block.indptr.data();
     const graph::NodeId *sources = block.sources.data();
@@ -419,7 +405,7 @@ KernelEngine::aggregate_forward(const sample::LayerBlock &block,
     });
     if (record_stats_) {
         const int64_t edges = block.num_edges();
-        stats_.agg_seconds += seconds_since(t0);
+        stats_.agg_seconds += timer.elapsed_seconds();
         stats_.agg_flops += 2.0 * double(edges) * double(dim);
         stats_.agg_bytes +=
             uint64_t(edges) *
@@ -445,7 +431,7 @@ KernelEngine::aggregate_backward(const sample::LayerBlock &block,
     block.validate(grad_in.rows());
     const sample::ReverseCsr &rc = block.reverse_csr();
     const int64_t dim = grad_out.cols();
-    const Clock::time_point t0 = Clock::now();
+    const util::WallTimer timer;
     const float *gout0 = grad_out.data();
     const float *wts = weights.data();
     const Kernels &ks = kernels();
@@ -461,7 +447,7 @@ KernelEngine::aggregate_backward(const sample::LayerBlock &block,
     });
     if (record_stats_) {
         const int64_t edges = block.num_edges();
-        stats_.agg_seconds += seconds_since(t0);
+        stats_.agg_seconds += timer.elapsed_seconds();
         stats_.agg_flops += 2.0 * double(edges) * double(dim);
         stats_.agg_bytes +=
             uint64_t(edges) *
@@ -486,7 +472,7 @@ KernelEngine::aggregate_backward_weights(const sample::LayerBlock &block,
     block.validate(in.rows());
     grad_weights.assign(static_cast<size_t>(block.num_edges()), 0.0f);
     const int64_t dim = in.cols();
-    const Clock::time_point t0 = Clock::now();
+    const util::WallTimer timer;
     const float *in0 = in.data();
     const float *gout0 = grad_out.data();
     parallel_rows(block.num_targets(), [&](int64_t lo, int64_t hi) {
@@ -506,7 +492,7 @@ KernelEngine::aggregate_backward_weights(const sample::LayerBlock &block,
     });
     if (record_stats_) {
         const int64_t edges = block.num_edges();
-        stats_.agg_seconds += seconds_since(t0);
+        stats_.agg_seconds += timer.elapsed_seconds();
         stats_.agg_flops += 2.0 * double(edges) * double(dim);
         stats_.agg_bytes +=
             uint64_t(edges) * (2 * uint64_t(dim) * sizeof(float) +

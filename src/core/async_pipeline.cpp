@@ -1,7 +1,6 @@
 #include "core/async_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -9,19 +8,12 @@
 
 #include "match/gather_engine.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace fastgl {
 namespace core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-seconds_since(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /** FNV-1a over one gathered panel, seeded with the batch id. */
 uint64_t
@@ -68,7 +60,7 @@ EpochResult
 AsyncPipeline::run_epoch()
 {
     stats_ = AsyncEpochStats{};
-    const Clock::time_point wall_start = Clock::now();
+    const util::WallTimer wall;
 
     const Pipeline::EpochPlan plan = pipeline_.plan_epoch();
     const int total = static_cast<int>(plan.per_gpu.size());
@@ -229,14 +221,14 @@ AsyncPipeline::run_epoch()
                 WindowItem item;
                 item.ref = ref;
                 item.subgraphs.reserve(ref.end - ref.begin);
-                const Clock::time_point t0 = Clock::now();
+                const util::WallTimer timer;
                 for (size_t i = ref.begin; i < ref.end; ++i) {
                     if (async_.sample_hook)
                         async_.sample_hook(batches[i]);
                     item.subgraphs.push_back(
                         sampler.sample(pipeline_, epoch, batches[i]));
                 }
-                busy += seconds_since(t0);
+                busy += timer.elapsed_seconds();
                 if (!batch_queue.push(std::move(item)))
                     break; // closed (stop) or failed
                 windows_produced.fetch_add(1, std::memory_order_relaxed);
@@ -280,7 +272,7 @@ AsyncPipeline::run_epoch()
                     state.occupied[head] = 0;
                     ++state.next_window;
 
-                    const Clock::time_point t0 = Clock::now();
+                    const util::WallTimer timer;
                     const std::vector<size_t> order =
                         pipeline_.window_order(state.matcher,
                                                window.subgraphs);
@@ -305,7 +297,7 @@ AsyncPipeline::run_epoch()
                             break;
                         }
                     }
-                    busy += seconds_since(t0);
+                    busy += timer.elapsed_seconds();
                     if (async_.gather_hook)
                         async_.gather_hook(window.ref.gpu);
                     if (!queue_open)
@@ -328,7 +320,7 @@ AsyncPipeline::run_epoch()
                     break;
                 if (async_.compute_hook)
                     async_.compute_hook(item->batch_id);
-                const Clock::time_point t0 = Clock::now();
+                const util::WallTimer timer;
                 if (async_.gather_features) {
                     gather_fingerprint.fetch_xor(
                         panel_fingerprint(item->batch_id, item->panel),
@@ -346,7 +338,7 @@ AsyncPipeline::run_epoch()
                     item->record;
                 filled[static_cast<size_t>(item->gpu)][item->position] =
                     1;
-                busy += seconds_since(t0);
+                busy += timer.elapsed_seconds();
                 batches_completed.fetch_add(1,
                                             std::memory_order_relaxed);
             }
@@ -376,7 +368,7 @@ AsyncPipeline::run_epoch()
     compute_queue.close();
     for (auto &t : computers)
         t.join();
-    stats_.wall_seconds = seconds_since(wall_start);
+    stats_.wall_seconds = wall.elapsed_seconds();
     stats_.windows_produced = windows_produced.load();
     stats_.batches_completed = batches_completed.load();
     stats_.gather_fingerprint = gather_fingerprint.load();

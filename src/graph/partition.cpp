@@ -166,6 +166,9 @@ partition_graph(const CsrGraph &graph, int num_parts,
 namespace {
 
 constexpr char kPartitionMagic[] = "fastgl-partition-v1";
+/** Most partitions a file may declare: far beyond any modelled device
+ *  count, small enough that the member lists always fit. */
+constexpr int kMaxPartitions = 1 << 16;
 
 } // namespace
 
@@ -199,7 +202,8 @@ load_partitioning(const std::string &path)
     size_t num_nodes = 0;
     if (std::fscanf(f, "%31s %d %zu", magic, &num_parts, &num_nodes) !=
             3 ||
-        std::string(magic) != kPartitionMagic || num_parts < 1) {
+        std::string(magic) != kPartitionMagic || num_parts < 1 ||
+        num_parts > kMaxPartitions) {
         util::warn("not a partitioning: " + path);
         std::fclose(f);
         return parts;
@@ -222,7 +226,13 @@ load_partitioning(const std::string &path)
         }
         part_of[i] = p;
     }
+    const bool exact = only_space_left(f);
     std::fclose(f);
+    if (!exact) {
+        util::warn("partitioning holds more entries than its count: " +
+                   path);
+        return parts;
+    }
     return finalize(std::move(part_of), num_parts);
 }
 

@@ -82,7 +82,9 @@ bool save_partitioning(const std::string &path,
  * Read a partitioning written by save_partitioning; members lists are
  * rebuilt from the assignment vector.
  * @return the partitioning; empty (and a warning is logged) when the
- *         file is missing, malformed, or holds an out-of-range index.
+ *         file is missing, malformed, holds an out-of-range index,
+ *         declares more than 65536 parts, or holds more or fewer
+ *         entries than its header says.
  */
 Partitioning load_partitioning(const std::string &path);
 

@@ -1,5 +1,6 @@
 #include "graph/serialize.h"
 
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -13,6 +14,10 @@ namespace {
 
 constexpr uint64_t kGraphMagic = 0x464753544C473101ULL;   // "FGSTLG1."
 constexpr uint64_t kDatasetMagic = 0x464753544C443101ULL; // "FGSTLD1."
+/** Widest feature row a dataset file may declare. */
+constexpr int64_t kMaxFeatureDim = int64_t(1) << 16;
+/** Bound on classes x dim: the class-centroid table built on load. */
+constexpr int64_t kMaxCentroidFloats = int64_t(1) << 24;
 
 struct FileCloser
 {
@@ -107,6 +112,16 @@ bytes_left(std::FILE *file)
 }
 
 bool
+only_space_left(std::FILE *file)
+{
+    for (int c = std::fgetc(file); c != EOF; c = std::fgetc(file)) {
+        if (!std::isspace(c))
+            return false;
+    }
+    return true;
+}
+
+bool
 save_graph(const CsrGraph &graph, const std::string &path)
 {
     FilePtr file(std::fopen(path.c_str(), "wb"));
@@ -193,7 +208,8 @@ load_dataset(Dataset &dataset, const std::string &path,
         !read_pod(file.get(), out.batch_size) ||
         !read_pod(file.get(), out.scale))
         return false;
-    if (dim <= 0 || classes <= 0 || feature_nodes < 0 ||
+    if (dim <= 0 || dim > kMaxFeatureDim || classes <= 0 ||
+        classes > kMaxCentroidFloats / dim || feature_nodes < 0 ||
         out.batch_size <= 0)
         return false;
 

@@ -28,6 +28,13 @@ namespace graph {
  */
 uint64_t bytes_left(std::FILE *file);
 
+/**
+ * True when only whitespace remains in @p file. The text loaders call it
+ * after their last entry, so a file holds exactly the entries its header
+ * counts.
+ */
+bool only_space_left(std::FILE *file);
+
 /** Write @p graph to @p path. @return false on IO failure. */
 bool save_graph(const CsrGraph &graph, const std::string &path);
 

@@ -130,13 +130,18 @@ load_warmup_trace(const std::string &path)
     trace.frequencies.resize(n, 0);
     for (size_t i = 0; i < n; ++i) {
         int64_t count = 0;
-        if (std::fscanf(f, "%" SCNd64, &count) != 1) {
-            util::warn("truncated warmup trace: " + path);
+        if (std::fscanf(f, "%" SCNd64, &count) != 1 || count < 0) {
+            util::warn("truncated or negative warmup trace: " + path);
             trace.frequencies.clear();
             std::fclose(f);
             return trace;
         }
         trace.frequencies[i] = count;
+    }
+    if (!graph::only_space_left(f)) {
+        util::warn("warmup trace holds more entries than its count: " +
+                   path);
+        trace.frequencies.clear();
     }
     std::fclose(f);
     return trace;

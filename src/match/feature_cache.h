@@ -187,7 +187,8 @@ bool save_warmup_trace(const std::string &path,
 /**
  * Read a warmup trace written by save_warmup_trace.
  * @return the trace; empty (and a warning is logged) when the file is
- *         missing or malformed.
+ *         missing or malformed: a negative count, or more or fewer
+ *         entries than its header says.
  */
 WarmupTrace load_warmup_trace(const std::string &path);
 

@@ -1,7 +1,6 @@
 #include "match/gather_engine.h"
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "util/arena.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace fastgl {
 namespace match {
@@ -172,7 +172,7 @@ GatherEngine::gather_impl(const graph::FeatureStore &store,
                           std::span<const graph::NodeId> nodes,
                           const StaticFeatureCache *cache)
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const util::WallTimer timer;
 
     // Hoisted structural pass: one bounds sweep here buys unvalidated
     // row access in the sharded inner loops below.
@@ -221,10 +221,7 @@ GatherEngine::gather_impl(const graph::FeatureStore &store,
     out.hits = hits.load(std::memory_order_relaxed);
     out.misses = rows - out.hits;
 
-    stats_.seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    stats_.seconds += timer.elapsed_seconds();
     stats_.rows += rows;
     stats_.bytes += out.panel.bytes();
     stats_.calls += 1;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/fingerprint.h"
+#include "util/json.h"
 
 namespace fastgl {
 namespace prof {
@@ -62,24 +63,28 @@ fold_summary(uint64_t h, const StageSummary &s)
 }
 
 void
-append_summary_json(std::string &out, const StageSummary &s)
+write_summary_json(util::JsonWriter &w, const StageSummary &s)
 {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"name\":\"%s\",\"items\":%lld,\"mean_occupancy\":%.17g,"
-        "\"busy_seconds\":%.17g,"
-        "\"wait\":{\"mean\":%.17g,\"p50\":%.17g,\"p95\":%.17g,"
-        "\"p99\":%.17g},"
-        "\"service\":{\"mean\":%.17g,\"p50\":%.17g,\"p95\":%.17g,"
-        "\"p99\":%.17g},"
-        "\"shed\":%lld,\"dropped\":%lld}",
-        s.name.c_str(), static_cast<long long>(s.items),
-        s.mean_occupancy, s.busy_seconds, s.wait_mean, s.wait_p50,
-        s.wait_p95, s.wait_p99, s.service_mean, s.service_p50,
-        s.service_p95, s.service_p99, static_cast<long long>(s.shed),
-        static_cast<long long>(s.dropped));
-    out += buf;
+    w.begin_object();
+    w.key("name").string(s.name);
+    w.key("items").integer(s.items);
+    w.key("mean_occupancy").general(s.mean_occupancy);
+    w.key("busy_seconds").general(s.busy_seconds);
+    w.key("wait").begin_object();
+    w.key("mean").general(s.wait_mean);
+    w.key("p50").general(s.wait_p50);
+    w.key("p95").general(s.wait_p95);
+    w.key("p99").general(s.wait_p99);
+    w.end_object();
+    w.key("service").begin_object();
+    w.key("mean").general(s.service_mean);
+    w.key("p50").general(s.service_p50);
+    w.key("p95").general(s.service_p95);
+    w.key("p99").general(s.service_p99);
+    w.end_object();
+    w.key("shed").integer(s.shed);
+    w.key("dropped").integer(s.dropped);
+    w.end_object();
 }
 
 void
@@ -285,45 +290,32 @@ ProfileReport::fingerprint() const
 std::string
 ProfileReport::to_json() const
 {
-    std::string out = "{";
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "\"enabled\":%s,\"makespan\":%.17g,",
-                  enabled ? "true" : "false", makespan);
-    out += buf;
-    out += "\"stages\":[";
-    for (size_t i = 0; i < stages.size(); ++i) {
-        if (i)
-            out += ",";
-        append_summary_json(out, stages[i]);
+    util::JsonWriter w(util::JsonWriter::Layout::kCompact);
+    w.begin_object();
+    w.key("enabled").boolean(enabled);
+    w.key("makespan").general(makespan);
+    w.key("stages").begin_array();
+    for (const StageSummary &s : stages)
+        write_summary_json(w, s);
+    w.end_array();
+    w.key("tiers").begin_array();
+    for (const StageSummary &s : tiers)
+        write_summary_json(w, s);
+    w.end_array();
+    w.key("devices").begin_array();
+    for (const DeviceProfile &d : devices) {
+        w.begin_object();
+        w.key("batches").integer(d.batches);
+        w.key("busy").general(d.busy_seconds);
+        w.key("idle").general(d.idle_seconds);
+        w.key("last_free").general(d.last_free);
+        w.end_object();
     }
-    out += "],\"tiers\":[";
-    for (size_t i = 0; i < tiers.size(); ++i) {
-        if (i)
-            out += ",";
-        append_summary_json(out, tiers[i]);
-    }
-    out += "],\"devices\":[";
-    for (size_t i = 0; i < devices.size(); ++i) {
-        if (i)
-            out += ",";
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"batches\":%lld,\"busy\":%.17g,\"idle\":%.17g,"
-            "\"last_free\":%.17g}",
-            static_cast<long long>(devices[i].batches),
-            devices[i].busy_seconds, devices[i].idle_seconds,
-            devices[i].last_free);
-        out += buf;
-    }
-    out += "],";
-    std::snprintf(buf, sizeof(buf),
-                  "\"device_busy_seconds\":%.17g,"
-                  "\"fingerprint\":\"%016llx\"}",
-                  device_busy_seconds,
-                  static_cast<unsigned long long>(fingerprint()));
-    out += buf;
-    return out;
+    w.end_array();
+    w.key("device_busy_seconds").general(device_busy_seconds);
+    w.key("fingerprint").hash(fingerprint(), "");
+    w.end_object();
+    return w.str();
 }
 
 std::string

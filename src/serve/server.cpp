@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <exception>
 #include <limits>
@@ -16,23 +15,16 @@
 #include "util/fingerprint.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace fastgl {
 namespace serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /** Stream tags for derive_seed (arbitrary, fixed forever). */
 constexpr uint64_t kSampleStream = 0x5E31;
 constexpr uint64_t kPresampleStream = 0x5E32;
-
-double
-seconds_since(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 using util::double_bits;
 using util::fnv;
@@ -639,7 +631,7 @@ struct Server::Engine
         // arrival order — so predictions (and the fingerprint words
         // they add) are bit-identical across runs and thread counts.
         if (s.tiers_[m].model) {
-            const Clock::time_point c0 = Clock::now();
+            const util::WallTimer compute_timer;
             for (const PendingRequest &pr : batch) {
                 const sample::SampledSubgraph &sg = pr.subgraph;
                 // Batched gather into a leased panel, forwarded as a
@@ -666,7 +658,7 @@ struct Server::Engine
                             static_cast<uint64_t>(best));
                 }
             }
-            vs.compute_wall += seconds_since(c0);
+            vs.compute_wall += compute_timer.elapsed_seconds();
             ++vs.compute_batches;
         }
     }
@@ -1007,7 +999,7 @@ Server::run(const ArrivalSource &source)
     stats_ = ServingStats{};
     if (engine_)
         engine_->reset_stats();
-    const Clock::time_point wall_start = Clock::now();
+    const util::WallTimer wall;
     const std::span<const InferenceRequest> requests = source.requests;
     const size_t total = requests.size();
     const size_t num_tiers = tiers_.size();
@@ -1068,7 +1060,7 @@ Server::run(const ArrivalSource &source)
                 const InferenceRequest &req = requests[*index];
                 if (opts_.sample_hook)
                     opts_.sample_hook(req.id);
-                const Clock::time_point t0 = Clock::now();
+                const util::WallTimer timer;
                 Sampled sampled;
                 sampled.index = *index;
                 sampled.sg =
@@ -1077,7 +1069,7 @@ Server::run(const ArrivalSource &source)
                         util::derive_seed(
                             opts_.seed, kSampleStream,
                             static_cast<uint64_t>(req.id)));
-                local.add(seconds_since(t0));
+                local.add(timer.elapsed_seconds());
                 if (!done_queue.push(std::move(sampled)))
                     break; // closed (stop) or failed
             }
@@ -1129,7 +1121,7 @@ Server::run(const ArrivalSource &source)
     done_queue.close();
     sequencer_thread.join();
 
-    stats_.wall_seconds = seconds_since(wall_start);
+    stats_.wall_seconds = wall.elapsed_seconds();
     stats_.stopped_early = shutdown_.stop_requested();
     shutdown_.end_run();
     {

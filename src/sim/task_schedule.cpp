@@ -1,9 +1,9 @@
 #include "sim/task_schedule.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace fastgl {
@@ -65,23 +65,25 @@ TaskSchedule::write_chrome_trace(const std::string &path) const
     std::ofstream out(path);
     if (!out)
         return false;
-    out << "{\"traceEvents\":[\n";
+    // Durations in microseconds, one "thread" per resource.
+    util::JsonWriter w(util::JsonWriter::Layout::kCompact);
+    w.begin_object();
+    w.key("traceEvents").begin_array();
     for (size_t t = 0; t < durations_.size(); ++t) {
-        if (t)
-            out << ",\n";
-        // Durations in microseconds, one "thread" per resource.
-        char buf[256];
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-            "\"dur\":%.3f,\"pid\":0,\"tid\":%d}",
-            labels_[t].empty() ? "task" : labels_[t].c_str(),
-            timings_[t].start * 1e6,
-            (timings_[t].finish - timings_[t].start) * 1e6,
-            task_resource_[t]);
-        out << buf;
+        w.begin_object();
+        w.key("name").string(labels_[t].empty() ? "task" : labels_[t]);
+        w.key("ph").string("X");
+        w.key("ts").fixed(timings_[t].start * 1e6, 3);
+        w.key("dur").fixed((timings_[t].finish - timings_[t].start) * 1e6,
+                           3);
+        w.key("pid").integer(0);
+        w.key("tid").integer(task_resource_[t]);
+        w.end_object();
     }
-    out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    w.end_array();
+    w.key("displayTimeUnit").string("ms");
+    w.end_object();
+    out << w.str() << '\n';
     return static_cast<bool>(out);
 }
 

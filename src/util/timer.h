@@ -1,15 +1,15 @@
 /**
  * @file
- * Wall-clock timing helpers for host-side measurement.
+ * The one host stopwatch: every host-time measurement in the library and
+ * the benches reads a WallTimer.
  *
  * Note: simulated (modelled) GPU/PCIe time is produced by fastgl::sim, not
- * by these timers; WallTimer exists for measuring the real host cost of the
- * algorithms themselves (hash probes, set intersections, numeric training).
+ * by this timer; WallTimer measures the real host cost of the algorithms
+ * themselves (hash probes, set intersections, numeric training).
  */
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace fastgl {
 namespace util {
@@ -30,50 +30,9 @@ class WallTimer
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    /** Microseconds since construction or the last reset(). */
-    uint64_t
-    elapsed_micros() const
-    {
-        return static_cast<uint64_t>(elapsed_seconds() * 1e6);
-    }
-
   private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;
-};
-
-/** Accumulates time over multiple start/stop intervals. */
-class IntervalTimer
-{
-  public:
-    /** Begin an interval. */
-    void start() { timer_.reset(); running_ = true; }
-
-    /** End the interval and add it to the total. */
-    void
-    stop()
-    {
-        if (running_) {
-            total_ += timer_.elapsed_seconds();
-            ++intervals_;
-            running_ = false;
-        }
-    }
-
-    /** Total accumulated seconds. */
-    double total_seconds() const { return total_; }
-
-    /** Number of completed intervals. */
-    uint64_t intervals() const { return intervals_; }
-
-    /** Clear all accumulated state. */
-    void clear() { total_ = 0.0; intervals_ = 0; running_ = false; }
-
-  private:
-    WallTimer timer_;
-    double total_ = 0.0;
-    uint64_t intervals_ = 0;
-    bool running_ = false;
 };
 
 } // namespace util

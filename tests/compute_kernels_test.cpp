@@ -19,8 +19,8 @@
 #include "compute/gin_layer.h"
 #include "compute/kernel_engine.h"
 #include "compute/ops.h"
+#include "legacy_reference.h"
 #include "sample/minibatch.h"
-#include "util/fingerprint.h"
 #include "util/rng.h"
 
 namespace fastgl {
@@ -30,127 +30,13 @@ using compute::Activation;
 using compute::KernelEngine;
 using compute::Tensor;
 
-// ------------------------------------------------------------------
-// Verbatim replicas of the pre-engine kernels (the exact loops the
-// engine must reproduce bit for bit, including the zero-skip in
-// gemm/gemm_ta and the scalar dot of gemm_tb).
-// ------------------------------------------------------------------
-
-void
-legacy_gemm(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-    c.fill_zero();
-    for (int64_t i = 0; i < m; ++i) {
-        float *ci = c.data() + i * n;
-        const float *ai = a.data() + i * k;
-        for (int64_t p = 0; p < k; ++p) {
-            const float av = ai[p];
-            if (av == 0.0f)
-                continue;
-            const float *bp = b.data() + p * n;
-            for (int64_t j = 0; j < n; ++j)
-                ci[j] += av * bp[j];
-        }
-    }
-}
-
-void
-legacy_gemm_ta(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    const int64_t k = a.rows(), m = a.cols(), n = b.cols();
-    c.fill_zero();
-    for (int64_t p = 0; p < k; ++p) {
-        const float *ap = a.data() + p * m;
-        const float *bp = b.data() + p * n;
-        for (int64_t i = 0; i < m; ++i) {
-            const float av = ap[i];
-            if (av == 0.0f)
-                continue;
-            float *ci = c.data() + i * n;
-            for (int64_t j = 0; j < n; ++j)
-                ci[j] += av * bp[j];
-        }
-    }
-}
-
-void
-legacy_gemm_tb(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-    for (int64_t i = 0; i < m; ++i) {
-        const float *ai = a.data() + i * k;
-        float *ci = c.data() + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-            const float *bj = b.data() + j * k;
-            float acc = 0.0f;
-            for (int64_t p = 0; p < k; ++p)
-                acc += ai[p] * bj[p];
-            ci[j] = acc;
-        }
-    }
-}
-
-void
-legacy_aggregate_forward(const sample::LayerBlock &block,
-                         const std::vector<float> &weights,
-                         const Tensor &in, Tensor &out)
-{
-    const int64_t dim = in.cols();
-    out.fill_zero();
-    for (int64_t t = 0; t < block.num_targets(); ++t) {
-        float *dst = out.data() + t * dim;
-        for (graph::EdgeId e = block.indptr[t]; e < block.indptr[t + 1];
-             ++e) {
-            const graph::NodeId v = block.sources[e];
-            const float w = weights[static_cast<size_t>(e)];
-            const float *src = in.data() + v * dim;
-            for (int64_t c = 0; c < dim; ++c)
-                dst[c] += w * src[c];
-        }
-    }
-}
-
-void
-legacy_aggregate_backward(const sample::LayerBlock &block,
-                          const std::vector<float> &weights,
-                          const Tensor &grad_out, Tensor &grad_in)
-{
-    const int64_t dim = grad_out.cols();
-    for (int64_t t = 0; t < block.num_targets(); ++t) {
-        const float *gout = grad_out.data() + t * dim;
-        for (graph::EdgeId e = block.indptr[t]; e < block.indptr[t + 1];
-             ++e) {
-            const graph::NodeId v = block.sources[e];
-            const float w = weights[static_cast<size_t>(e)];
-            float *gin = grad_in.data() + v * dim;
-            for (int64_t c = 0; c < dim; ++c)
-                gin[c] += w * gout[c];
-        }
-    }
-}
-
-void
-legacy_aggregate_backward_weights(const sample::LayerBlock &block,
-                                  const Tensor &in,
-                                  const Tensor &grad_out,
-                                  std::vector<float> &grad_weights)
-{
-    grad_weights.assign(static_cast<size_t>(block.num_edges()), 0.0f);
-    const int64_t dim = in.cols();
-    for (int64_t t = 0; t < block.num_targets(); ++t) {
-        const float *gout = grad_out.data() + t * dim;
-        for (graph::EdgeId e = block.indptr[t]; e < block.indptr[t + 1];
-             ++e) {
-            const graph::NodeId v = block.sources[e];
-            const float *src = in.data() + v * dim;
-            float acc = 0.0f;
-            for (int64_t c = 0; c < dim; ++c)
-                acc += gout[c] * src[c];
-            grad_weights[static_cast<size_t>(e)] = acc;
-        }
-    }
-}
+using reference::legacy_aggregate_backward;
+using reference::legacy_aggregate_backward_weights;
+using reference::legacy_aggregate_forward;
+using reference::legacy_gemm;
+using reference::legacy_gemm_ta;
+using reference::legacy_gemm_tb;
+using reference::tensor_hash;
 
 // ------------------------------------------------------------- helpers
 
@@ -161,14 +47,6 @@ bitwise_equal(const Tensor &x, const Tensor &y)
            std::memcmp(x.data(), y.data(),
                        static_cast<size_t>(x.numel()) * sizeof(float)) ==
                0;
-}
-
-/** FNV-1a over a tensor's raw bytes. */
-uint64_t
-tensor_hash(const Tensor &x)
-{
-    return util::fnv_bytes(x.data(),
-                           static_cast<size_t>(x.numel()) * sizeof(float));
 }
 
 /** Random tensor with a sprinkling of exact zeros (zero-skip paths). */

@@ -20,10 +20,10 @@
 
 #include "compute/tensor.h"
 #include "graph/feature_store.h"
+#include "legacy_reference.h"
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
 #include "sample/frequency_hashmap.h"
-#include "util/fingerprint.h"
 #include "util/rng.h"
 
 namespace fastgl {
@@ -36,25 +36,11 @@ using match::GatherEngine;
 using match::StaticFeatureCache;
 using sample::FrequencyHashmap;
 
-using util::fnv_bytes;
 
-/** The legacy gather: one gather_row call per node into a flat buffer. */
-std::vector<float>
-legacy_gather(const FeatureStore &store,
-              const std::vector<NodeId> &nodes)
-{
-    std::vector<float> out(nodes.size() *
-                           static_cast<size_t>(store.dim()));
-    for (size_t i = 0; i < nodes.size(); ++i)
-        store.gather_row(nodes[i], out.data() + i * store.dim());
-    return out;
-}
-
-uint64_t
-panel_hash(const FeaturePanel &panel)
-{
-    return fnv_bytes(panel.data(), static_cast<size_t>(panel.bytes()));
-}
+using reference::legacy_gather_features;
+using reference::legacy_presample;
+using reference::panel_hash;
+using reference::tensor_hash;
 
 // ------------------------------------------------------ bit identity
 
@@ -73,10 +59,8 @@ TEST(GatherEngine, FuzzBitIdenticalToPerRowLoopAcrossWidths)
                 for (int64_t i = 0; i < batch; ++i)
                     nodes.push_back(static_cast<NodeId>(rng.next_below(
                         static_cast<uint64_t>(n)))); // repeats likely
-                const std::vector<float> want =
-                    legacy_gather(store, nodes);
-                const uint64_t want_hash = fnv_bytes(
-                    want.data(), want.size() * sizeof(float));
+                const uint64_t want_hash =
+                    tensor_hash(legacy_gather_features(store, nodes));
                 for (const int threads : {1, 4, 8}) {
                     GatherEngine engine(threads);
                     FeaturePanel panel = engine.gather(store, nodes);
@@ -108,10 +92,9 @@ TEST(GatherEngine, PanelReuseAcrossBatchesStaysIdentical)
         for (int64_t i = 0; i < batch; ++i)
             nodes.push_back(
                 static_cast<NodeId>(rng.next_below(300)));
-        const std::vector<float> want = legacy_gather(store, nodes);
         FeaturePanel panel = engine.gather(store, nodes);
         ASSERT_EQ(panel_hash(panel),
-                  fnv_bytes(want.data(), want.size() * sizeof(float)));
+                  tensor_hash(legacy_gather_features(store, nodes)));
     }
 }
 
@@ -189,9 +172,7 @@ TEST(GatherEngine, GoldenHashesPinLegacyGatherOutput)
         const std::vector<NodeId> nodes =
             golden_nodes(static_cast<int>(c) + 1);
         // Legacy loop still matches its pinned hash...
-        const std::vector<float> legacy = legacy_gather(store, nodes);
-        EXPECT_EQ(fnv_bytes(legacy.data(),
-                            legacy.size() * sizeof(float)),
+        EXPECT_EQ(tensor_hash(legacy_gather_features(store, nodes)),
                   g.want)
             << "golden case " << c + 1;
         // ...and the engine reproduces it at every width.
@@ -337,7 +318,7 @@ TEST(FrequencyHashmap, FusedRankingIdenticalToLegacyTwoPass)
         const int64_t stream_len =
             static_cast<int64_t>(rng.next_below(4000));
         FrequencyHashmap freq(8);
-        std::vector<int64_t> dense(static_cast<size_t>(num_nodes), 0);
+        std::vector<NodeId> stream;
         for (int64_t i = 0; i < stream_len; ++i) {
             // Skewed stream: low IDs are hot, as in presampling.
             const NodeId u = static_cast<NodeId>(
@@ -345,10 +326,10 @@ TEST(FrequencyHashmap, FusedRankingIdenticalToLegacyTwoPass)
                 rng.next_below(static_cast<uint64_t>(num_nodes)) /
                 static_cast<uint64_t>(num_nodes));
             freq.add(u);
-            ++dense[static_cast<size_t>(u)];
+            stream.push_back(u);
         }
         const std::vector<NodeId> legacy =
-            match::presample_ranking(dense);
+            legacy_presample(stream, num_nodes);
         const std::vector<NodeId> fused = match::presample_ranking(
             freq.uniques(), freq.counts(), num_nodes);
         ASSERT_EQ(fused, legacy) << "round " << round;
@@ -380,9 +361,8 @@ TEST(GatherEngine, CachedGatherMatchesLookupBatchAccounting)
         EXPECT_EQ(result.hits,
                   static_cast<int64_t>(nodes.size()) - legacy_misses);
         // The fused pass gathers the same bytes as a plain gather.
-        const std::vector<float> want = legacy_gather(store, nodes);
         EXPECT_EQ(panel_hash(result.panel),
-                  fnv_bytes(want.data(), want.size() * sizeof(float)));
+                  tensor_hash(legacy_gather_features(store, nodes)));
     }
     // Published statistics match the legacy accounting exactly.
     EXPECT_EQ(fused_cache.hits(), legacy_cache.hits());
@@ -438,15 +418,14 @@ TEST(FeaturePanel, OutlivesItsEngine)
 {
     FeatureStore store(64, 12, 2, 5, true);
     std::vector<NodeId> nodes = {1, 5, 63, 5};
-    const std::vector<float> want = legacy_gather(store, nodes);
+    const uint64_t want = tensor_hash(legacy_gather_features(store, nodes));
     FeaturePanel panel;
     {
         GatherEngine engine(4);
         panel = engine.gather(store, nodes);
     } // engine (and its worker pool) destroyed here
     ASSERT_EQ(panel.rows(), 4);
-    EXPECT_EQ(panel_hash(panel),
-              fnv_bytes(want.data(), want.size() * sizeof(float)));
+    EXPECT_EQ(panel_hash(panel), want);
     panel.release(); // arena returns to the orphaned pool: no crash
     EXPECT_EQ(panel.rows(), 0);
     EXPECT_EQ(panel.data(), nullptr);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "legacy_reference.h"
 #include "match/match_degree.h"
 #include "match/reorder.h"
 #include "sample/layer_sampler.h"
@@ -367,25 +368,7 @@ TEST(Reorder, MaxOverlapIsPoolInvariant)
 using util::fnv;
 using util::kFnvOffset;
 
-uint64_t
-hash_subgraph(const sample::SampledSubgraph &sg)
-{
-    uint64_t h = kFnvOffset;
-    h = fnv(h, static_cast<uint64_t>(sg.num_seeds));
-    h = fnv(h, static_cast<uint64_t>(sg.instances));
-    h = fnv(h, static_cast<uint64_t>(sg.edges_examined));
-    for (graph::NodeId n : sg.nodes)
-        h = fnv(h, static_cast<uint64_t>(n));
-    for (const auto &blk : sg.blocks) {
-        for (auto t : blk.targets)
-            h = fnv(h, static_cast<uint64_t>(t));
-        for (auto p : blk.indptr)
-            h = fnv(h, static_cast<uint64_t>(p));
-        for (auto s : blk.sources)
-            h = fnv(h, static_cast<uint64_t>(s));
-    }
-    return h;
-}
+using reference::hash_subgraph;
 
 class GoldenBehavior : public ::testing::Test
 {

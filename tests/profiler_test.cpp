@@ -8,15 +8,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/trainer.h"
+#include "json_check.h"
 #include "graph/datasets.h"
 #include "prof/profiler.h"
 #include "sample/batch_splitter.h"
 #include "sample/neighbor_sampler.h"
 #include "serve/load_generator.h"
 #include "serve/server.h"
+#include "util/fingerprint.h"
 
 namespace fastgl {
 namespace {
@@ -24,6 +27,8 @@ namespace {
 /** Golden digest of the profiled fixed training epoch below; change it
  *  only when the cost model or profiler schema intentionally moves. */
 constexpr uint64_t kGoldenTrainProfile = 0x3542F78961E29EF4ULL;
+/** FNV-1a of the same epoch's ProfileReport::to_json() text. */
+constexpr uint64_t kGoldenTrainProfileJson = 0xAC7D003F2DFAF8F2ULL;
 
 const graph::Dataset &
 serve_products()
@@ -254,23 +259,54 @@ TEST(ProfilerTest, TrainerComputeStageConservesModelledSeconds)
     EXPECT_GE(stats.profile.makespan, stats.modelled_compute_seconds);
 }
 
-TEST(ProfilerTest, GoldenProfileFingerprint)
+/** The profile of one fixed, profiled training epoch. */
+prof::ProfileReport
+golden_train_profile()
 {
-    // One-number witness that the profiled virtual replay of a fixed
-    // training epoch never drifts: dataset replica, cost model, and
-    // profiler accumulation all feed this digest.
-    const graph::Dataset ds = train_reddit();
     core::TrainerOptions opts;
     opts.fanouts = {4, 4};
     opts.max_batches = 4;
     opts.batch_size = 32;
     opts.profile = true;
-    core::Trainer a(ds, opts);
-    core::Trainer b(ds, opts);
-    const uint64_t fp_a = a.train_epoch().profile.fingerprint();
-    const uint64_t fp_b = b.train_epoch().profile.fingerprint();
+    core::Trainer trainer(train_reddit(), opts);
+    return trainer.train_epoch().profile;
+}
+
+TEST(ProfilerTest, GoldenProfileFingerprint)
+{
+    // One-number witness that the profiled virtual replay of a fixed
+    // training epoch never drifts: dataset replica, cost model, and
+    // profiler accumulation all feed this digest.
+    const uint64_t fp_a = golden_train_profile().fingerprint();
+    const uint64_t fp_b = golden_train_profile().fingerprint();
     EXPECT_EQ(fp_a, fp_b);
     EXPECT_EQ(fp_a, kGoldenTrainProfile);
+}
+
+TEST(ProfilerTest, GoldenProfileJson)
+{
+    // The exported text of the same epoch, byte for byte: names that
+    // need no escaping serialize exactly as they always have.
+    const std::string json = golden_train_profile().to_json();
+    EXPECT_TRUE(testing_json::valid(json));
+    EXPECT_EQ(util::fnv_bytes(json.data(), json.size()),
+              kGoldenTrainProfileJson);
+}
+
+TEST(ProfilerTest, ReportWithHostileTierNameRoundTrips)
+{
+    prof::ProfileReport report;
+    report.enabled = true;
+    prof::StageSummary tier;
+    tier.name = "tier\"" + std::string(300, 'x') + "\\";
+    tier.items = 3;
+    report.tiers.push_back(tier);
+    const std::string json = report.to_json();
+    testing_json::Reader reader(json);
+    ASSERT_TRUE(reader.parse()) << json;
+    const auto &strings = reader.strings();
+    EXPECT_NE(std::find(strings.begin(), strings.end(), tier.name),
+              strings.end());
 }
 
 TEST(ProfilerTest, TrainerGatherStageSeesTheFeatureCache)

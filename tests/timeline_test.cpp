@@ -6,10 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
 #include "core/timeline.h"
+#include "json_check.h"
 #include "sim/task_schedule.h"
 
 namespace fastgl {
@@ -62,6 +64,30 @@ TEST(TaskSchedule, ChromeTraceExports)
     EXPECT_NE(content.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(content.find("\"work\""), std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(TaskSchedule, ChromeTraceWithHostileLabelsParses)
+{
+    sim::TaskSchedule schedule;
+    const int r = schedule.add_resource("gpu");
+    const std::string quoted = "say \"hi\" \\ bye";
+    const std::string longest(300, 'x');
+    schedule.add_task(r, 0.001, {}, quoted);
+    schedule.add_task(r, 0.002, {}, longest);
+    schedule.run();
+    const std::string path = "/tmp/fastgl_hostile_trace_test.json";
+    ASSERT_TRUE(schedule.write_chrome_trace(path));
+    std::ifstream in(path);
+    const std::string content((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    testing_json::Reader reader(content);
+    ASSERT_TRUE(reader.parse()) << content;
+    const auto &strings = reader.strings();
+    EXPECT_NE(std::find(strings.begin(), strings.end(), quoted),
+              strings.end());
+    EXPECT_NE(std::find(strings.begin(), strings.end(), longest),
+              strings.end());
 }
 
 TEST(TaskSchedule, TraceBeforeRunFails)

@@ -1,18 +1,21 @@
 /**
  * @file
  * Unit tests for fastgl::util — RNG determinism/uniformity, statistics
- * accumulators, table rendering and the thread pool.
+ * accumulators, table rendering, the JSON writer and the thread pool.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
 
+#include "json_check.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace fastgl {
 namespace {
@@ -262,17 +265,58 @@ TEST(ThreadPool, ParallelForEmptyRangeIsNoop)
     EXPECT_FALSE(called);
 }
 
-TEST(Timers, IntervalTimerAccumulates)
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters)
 {
-    util::IntervalTimer timer;
-    timer.start();
-    timer.stop();
-    timer.start();
-    timer.stop();
-    EXPECT_EQ(timer.intervals(), 2u);
-    EXPECT_GE(timer.total_seconds(), 0.0);
-    timer.clear();
-    EXPECT_EQ(timer.intervals(), 0u);
+    const std::string nasty = std::string("a\"b\\c\nd\te\x01") + "\x1f";
+    util::JsonWriter w(util::JsonWriter::Layout::kCompact);
+    w.begin_object();
+    w.key("k\"ey").string(nasty);
+    w.end_object();
+    EXPECT_EQ(w.str(), "{\"k\\\"ey\":\"a\\\"b\\\\c\\u000ad\\u0009e"
+                       "\\u0001\\u001f\"}");
+    testing_json::Reader reader(w.str());
+    ASSERT_TRUE(reader.parse());
+    ASSERT_EQ(reader.strings().size(), 2u);
+    EXPECT_EQ(reader.strings()[0], "k\"ey");
+    EXPECT_EQ(reader.strings()[1], nasty);
+}
+
+TEST(JsonWriter, NonFiniteDoublesBecomeNull)
+{
+    util::JsonWriter w(util::JsonWriter::Layout::kCompact);
+    w.begin_array();
+    w.general(std::numeric_limits<double>::infinity());
+    w.fixed(-std::numeric_limits<double>::infinity(), 3);
+    w.general(std::nan(""));
+    w.fixed(0.1, 3);
+    w.general(0.1);
+    w.end_array();
+    EXPECT_EQ(w.str(), "[null,null,null,0.100,0.10000000000000001]");
+    EXPECT_TRUE(testing_json::valid(w.str()));
+}
+
+TEST(JsonWriter, NestingPlacesCommasInBothLayouts)
+{
+    auto write = [](util::JsonWriter::Layout layout) {
+        util::JsonWriter w(layout);
+        w.begin_object();
+        w.key("empty").begin_array().end_array();
+        w.key("rows").begin_array();
+        for (int i = 0; i < 2; ++i)
+            w.begin_object().key("i").integer(i).end_object();
+        w.end_array();
+        w.key("ok").boolean(true).key("h").hash(0xABCULL);
+        return w.end_object().str();
+    };
+    EXPECT_EQ(write(util::JsonWriter::Layout::kCompact),
+              "{\"empty\":[],\"rows\":[{\"i\":0},{\"i\":1}],\"ok\":true,"
+              "\"h\":\"0x0000000000000abc\"}");
+    // The indented layout spells members `"key": value`, which is what
+    // the bench_gate markers in tools/ci.sh match.
+    EXPECT_EQ(write(util::JsonWriter::Layout::kIndented),
+              "{\n  \"empty\": [],\n  \"rows\": [\n    {\n      \"i\": 0\n"
+              "    },\n    {\n      \"i\": 1\n    }\n  ],\n  \"ok\": true,\n"
+              "  \"h\": \"0x0000000000000abc\"\n}");
 }
 
 } // namespace

@@ -11,7 +11,6 @@
 #
 # Environment:
 #   FASTGL_CI_JOBS   parallel build/test jobs (default: nproc)
-#   FASTGL_NO_PERF   when 1, skip the hot-path perf smoke step
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -82,120 +81,35 @@ bench_gate() {
     fi
 }
 
-if [[ "${FASTGL_NO_PERF:-0}" != "1" ]]; then
-    # Perf smoke: Release build of the hot-path before/after benchmark,
-    # archived as BENCH_hotpath.json. The step fails only when the
-    # benchmark crashes or its legacy replicas diverge from the live
-    # implementations (non-zero exit) — throughput numbers are recorded,
-    # never gated, since CI machines are too noisy for thresholds.
-    echo "==> hot-path perf smoke (Release)"
-    if [[ ! -d build-perf-ci ]]; then
-        cmake -B build-perf-ci -S . -DCMAKE_BUILD_TYPE=Release
-    fi
-    cmake --build build-perf-ci --target bench_ext_hotpath -j "$JOBS"
-    ./build-perf-ci/bench/bench_ext_hotpath --smoke \
-        | tee BENCH_hotpath.json
-    bench_gate BENCH_hotpath.json 'identical": true' 'identical": false'
-
-    # Serving smoke: sweep the online-inference server and archive the
-    # latency/shedding table. The bench itself gates on its virtual-
-    # clock invariants (batching+caches beat the baseline, shedding
-    # engages under overload) — those are deterministic, so unlike
-    # throughput they are safe to fail CI on. On top of that, check
-    # the archive parses as JSON and every p99 came out finite.
-    echo "==> serving smoke (Release)"
-    cmake --build build-perf-ci --target bench_ext_serving -j "$JOBS"
-    ./build-perf-ci/bench/bench_ext_serving --smoke \
-        | tee BENCH_serving.json
-    bench_gate BENCH_serving.json '"all_p99_finite": true'
-
-    # Multi-model serving smoke: two tiers (GCN + GAT) under a mixed
-    # paid/standard/best-effort trace, cold vs warm-seeded caches. The
-    # bench gates on its own virtual-clock invariants (paid isolation
-    # under overload, warmup lifting hit rate and tail, no tier
-    # starved) and exits non-zero when any fails; all deterministic,
-    # so safe to fail CI on.
-    echo "==> multi-model serving smoke (Release)"
-    cmake --build build-perf-ci --target bench_ext_serving_multimodel \
-        -j "$JOBS"
-    ./build-perf-ci/bench/bench_ext_serving_multimodel --smoke \
-        | tee BENCH_serving_multimodel.json
-    bench_gate BENCH_serving_multimodel.json '"ok": true'
-
-    # Compute-kernel smoke: blocked GEMM + reverse-CSR aggregation vs
-    # their in-bench legacy replicas. The bench exits non-zero if any
-    # FNV witness diverges (the engine must be bit-identical to the
-    # naive loops at every thread count); speedups are archived, not
-    # gated. Runs in the primary configuration (repo-default build
-    # type) because that is how the pre-engine loops actually shipped —
-    # the honest before/after baseline. (-O3 additionally auto-
-    # vectorizes the naive replicas, which narrows the measured gap
-    # without reflecting any code that ever ran.)
-    echo "==> compute-kernel smoke (primary configuration)"
-    cmake --build build-ci --target bench_ext_compute -j "$JOBS"
-    ./build-ci/bench/bench_ext_compute --smoke \
-        | tee BENCH_compute.json
-    bench_gate BENCH_compute.json '"identical": true' \
-        '"identical": false'
-
-    # Feature-gather smoke: GatherEngine panels, the fused gather+cache
-    # accounting pass, and the one-pass FrequencyHashmap presample vs
-    # their in-bench legacy replicas (the verbatim pre-engine staging
-    # paths). The bench exits non-zero when any FNV witness diverges —
-    # the fast paths must be bit-identical to the legacy loops — and
-    # the explicit grep below keeps a witness mismatch fatal even if
-    # the exit-code plumbing ever regresses. Speedups are archived,
-    # not gated. Primary configuration for the same reason as the
-    # compute smoke: that is how the legacy loops actually shipped.
-    echo "==> feature-gather smoke (primary configuration)"
-    cmake --build build-ci --target bench_ext_gather -j "$JOBS"
-    ./build-ci/bench/bench_ext_gather --smoke \
-        | tee BENCH_gather.json
-    bench_gate BENCH_gather.json '"identical": true' \
-        '"identical": false'
-
-    # Multi-GPU smoke: the N-device timeline grid (symmetric vs
-    # factored vs factored+switcher) and the sharded-vs-replicated
-    # serving grid. The bench is divergence-fatal — it re-runs every
-    # timeline config and sweeps serving worker counts, exiting
-    # non-zero on any fingerprint mismatch — and gates its virtual-
-    # clock claims (single-GPU exactness vs the legacy scheduler, the
-    # switcher paying off when sample-bound, sharding beating
-    # replication on hit rate). All deterministic, safe to fail CI on.
-    echo "==> multi-GPU smoke (Release)"
-    cmake --build build-perf-ci --target bench_ext_multigpu -j "$JOBS"
-    ./build-perf-ci/bench/bench_ext_multigpu --smoke \
-        | tee BENCH_multigpu.json
-    bench_gate BENCH_multigpu.json '"ok": true'
-
-    # Out-of-core store smoke: the tiered-feature-store grid (host-DRAM
-    # fraction x prefetch x layout) against an in-memory baseline. The
-    # bench is divergence-fatal (every config replays, one sweeps
-    # thread widths) and gates its virtual-clock claims: losses
-    # bit-identical to in-memory, prefetch cutting the demand stall,
-    # the partition-ordered relayout paying off, and a full host-DRAM
-    # budget reproducing the in-memory epoch exactly. Deterministic,
-    # safe to fail CI on.
-    echo "==> out-of-core store smoke (Release)"
-    cmake --build build-perf-ci --target bench_ext_oocstore -j "$JOBS"
-    ./build-perf-ci/bench/bench_ext_oocstore --smoke \
-        | tee BENCH_oocstore.json
-    bench_gate BENCH_oocstore.json '"ok": true'
-
-    # Traffic-realism smoke: the per-stage profiler, closed-loop client
-    # pool, flash-crowd trace, and sampler-pool autoscaler. The bench
-    # is divergence-fatal (every configuration replays, the closed-loop
-    # and autoscaled runs sweep host worker counts) and gates its
-    # virtual-clock claims: profiling leaves fingerprints bit-identical
-    # at 1/4/8 workers, the closed loop sheds less than the open loop
-    # at matched offered load, the autoscaler cuts flash-crowd SLO
-    # misses vs the fixed minimum pool, and paid-tier isolation holds
-    # throughout. Deterministic, safe to fail CI on.
-    echo "==> traffic-realism smoke (Release)"
-    cmake --build build-perf-ci --target bench_ext_traffic -j "$JOBS"
-    ./build-perf-ci/bench/bench_ext_traffic --smoke \
-        | tee BENCH_traffic.json
-    bench_gate BENCH_traffic.json '"ok": true'
+# Bench gates: one row per gated bench, as
+#   bench | build dir | required marker | forbidden marker (optional).
+# Every bench is divergence-fatal (non-zero exit when a replica or a
+# replay diverges) and the serving-side ones also gate their own
+# deterministic virtual-clock claims; host-time speedups are archived,
+# never gated, since CI machines are too noisy for thresholds. The
+# compute and gather benches run in the primary configuration (the
+# repo-default build type the pre-engine loops shipped in — -O3 would
+# auto-vectorize the naive replicas and narrow a gap no shipped code
+# had); the rest run in a Release build.
+BENCH_GATES=(
+    'hotpath|build-perf-ci|identical": true|identical": false'
+    'serving|build-perf-ci|"all_p99_finite": true|'
+    'serving_multimodel|build-perf-ci|"ok": true|'
+    'compute|build-ci|"identical": true|"identical": false'
+    'gather|build-ci|"identical": true|"identical": false'
+    'multigpu|build-perf-ci|"ok": true|'
+    'oocstore|build-perf-ci|"ok": true|'
+    'traffic|build-perf-ci|"ok": true|'
+)
+if [[ ! -d build-perf-ci ]]; then
+    cmake -B build-perf-ci -S . -DCMAKE_BUILD_TYPE=Release
 fi
+for row in "${BENCH_GATES[@]}"; do
+    IFS='|' read -r bench dir required forbidden <<< "$row"
+    echo "==> $bench bench smoke ($dir)"
+    cmake --build "$dir" --target "bench_ext_$bench" -j "$JOBS"
+    "./$dir/bench/bench_ext_$bench" --smoke | tee "BENCH_$bench.json"
+    bench_gate "BENCH_$bench.json" "$required" "$forbidden"
+done
 
 echo "==> CI OK"

@@ -32,6 +32,11 @@ namespace {
 
 using namespace fastgl;
 
+/** Upper bound of --scale-pct: ten times the default replica. */
+constexpr int64_t kMaxScalePct = 1000;
+/** Upper bound of the host thread-count flags. */
+constexpr int64_t kMaxThreads = 256;
+
 /**
  * Tiny argv parser after the mode word: --key value pairs, plus bare
  * --flags (no value, e.g. --help) stored as "1". Every lookup marks its
@@ -71,12 +76,14 @@ class Args
     /**
      * Numeric flag @p key, or @p fallback when absent. Every numeric
      * flag goes through here: a value that does not parse in full as
-     * a T, or is below @p min, is a usage error and exits non-zero.
+     * a T, or lies outside [@p min, @p max], is a usage error and
+     * exits non-zero.
      */
     template <typename T>
     T
     get_number(const std::string &key, T fallback,
-               T min = std::numeric_limits<T>::lowest()) const
+               T min = std::numeric_limits<T>::lowest(),
+               T max = std::numeric_limits<T>::max()) const
     {
         used_.insert(key);
         auto it = values_.find(key);
@@ -92,14 +99,25 @@ class Args
         if (value < min)
             util::fatal("--" + key + " must be >= " +
                         std::to_string(min) + ", got " + text);
+        if (value > max)
+            util::fatal("--" + key + " must be <= " +
+                        std::to_string(max) + ", got " + text);
         return value;
     }
 
     int64_t
     get_int(const std::string &key, int64_t fallback,
-            int64_t min = std::numeric_limits<int64_t>::lowest()) const
+            int64_t min = std::numeric_limits<int64_t>::lowest(),
+            int64_t max = std::numeric_limits<int64_t>::max()) const
     {
-        return get_number<int64_t>(key, fallback, min);
+        return get_number<int64_t>(key, fallback, min, max);
+    }
+
+    /** A percentage flag in [@p min, 100], as a fraction. */
+    double
+    get_pct(const std::string &key, int64_t fallback, int64_t min = 0) const
+    {
+        return double(get_int(key, fallback, min, 100)) / 100.0;
     }
 
     /** Usage error on any given flag no lookup asked for. Call once
@@ -212,13 +230,13 @@ parse_storage_opts(const Args &args, const graph::Dataset &ds)
     store::TieredStoreOptions storage;
     storage.storage = parse_storage(args.get("storage", "none"));
     if (args.has("host-mem-gb")) {
-        const double bytes = args.get_number("host-mem-gb", 0.0) *
+        const double bytes = args.get_number("host-mem-gb", 0.0, 0.0) *
                              double(uint64_t(1) << 30);
         storage.host_mem_rows = std::max<int64_t>(
             0, int64_t(bytes / double(ds.features.row_bytes())));
     }
     storage.prefetch_depth =
-        int(args.get_int("prefetch-depth", storage.prefetch_depth));
+        int(args.get_int("prefetch-depth", storage.prefetch_depth, 0));
     storage.relayout = args.has("relayout");
     return storage;
 }
@@ -383,7 +401,7 @@ usage_serve()
         "  --model2-share PCT traffic routed to tier 1 (30)\n"
         "  --batch-max N      close batch at N requests (32)\n"
         "  --wait-us N        close batch after N us wait (2000)\n"
-        "  --max-pending N    admission queue bound; <=0 off (64)\n"
+        "  --max-pending N    admission queue bound; 0 = off (64)\n"
         "  --drr-quantum-us N DRR quantum between tiers, us (1000)\n"
         "  --cache-pct N      feature-cache capacity percent (20)\n"
         "  --embed-rows N     embedding-cache rows; -1 = auto (-1)\n"
@@ -446,7 +464,8 @@ run_model(const Args &args)
 {
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
-    ropts.size_factor = double(args.get_int("scale-pct", 100)) / 100.0;
+    ropts.size_factor =
+        double(args.get_int("scale-pct", 100, 1, kMaxScalePct)) / 100.0;
     const graph::Dataset ds = graph::load_replica(
         parse_dataset(args.get("dataset", "products")), ropts);
 
@@ -454,11 +473,11 @@ run_model(const Args &args)
     opts.fw = core::framework_preset(
         parse_framework(args.get("framework", "fastgl")));
     opts.num_gpus = int(args.get_int("gpus", 2, 1));
-    opts.num_machines = int(args.get_int("machines", 1));
+    opts.num_machines = int(args.get_int("machines", 1, 1));
     opts.model.type = parse_model(args.get("model", "gcn"));
-    opts.batch_size = args.get_int("batch", 0);
-    opts.max_batches = args.get_int("max-batches", 0);
-    opts.seed = uint64_t(args.get_int("seed", 1));
+    opts.batch_size = args.get_int("batch", 0, 0);
+    opts.max_batches = args.get_int("max-batches", 0, 0);
+    opts.seed = uint64_t(args.get_int("seed", 1, 0));
     const int epochs = int(args.get_int("epochs", 1, 1));
     args.reject_unused("model");
     core::Pipeline pipeline(ds, opts);
@@ -488,30 +507,29 @@ int
 run_train(const Args &args)
 {
     graph::ReplicaOptions ropts;
-    ropts.size_factor = double(args.get_int("scale-pct", 50)) / 100.0;
+    ropts.size_factor =
+        double(args.get_int("scale-pct", 50, 1, kMaxScalePct)) / 100.0;
     const graph::Dataset ds = graph::load_replica(
         parse_dataset(args.get("dataset", "products")), ropts);
 
     core::TrainerOptions opts;
     opts.model.type = parse_model(args.get("model", "gcn"));
-    opts.batch_size = args.get_int("batch", 0);
-    opts.max_batches = args.get_int("max-batches", 10);
-    opts.learning_rate =
-        float(args.get_int("lr-milli", 3)) / 1000.0f;
+    opts.batch_size = args.get_int("batch", 0, 0);
+    opts.max_batches = args.get_int("max-batches", 10, 0);
+    opts.learning_rate = float(args.get_int("lr-milli", 3, 1)) / 1000.0f;
     // The FastGL preset's host-kernel width (bit-identical results at
     // any value); override with --compute-threads.
     opts.compute_threads = int(args.get_int(
         "compute-threads",
-        core::framework_preset(core::Framework::kFastGL)
-            .compute_threads));
-    opts.seed = uint64_t(args.get_int("seed", 3407));
+        core::framework_preset(core::Framework::kFastGL).compute_threads,
+        1, kMaxThreads));
+    opts.seed = uint64_t(args.get_int("seed", 3407, 0));
     opts.num_gpus = int(args.get_int("gpus", 1, 1));
     opts.partitioner = parse_partitioner(args.get("partitioner", "ldg"));
     // The shards need a cache budget: default one in when --gpus asks
     // for the accounting pass but no --cache-pct was given.
     opts.feature_cache_ratio =
-        double(args.get_int("cache-pct", opts.num_gpus > 1 ? 20 : 0)) /
-        100.0;
+        args.get_pct("cache-pct", opts.num_gpus > 1 ? 20 : 0);
     opts.storage = parse_storage_opts(args, ds);
     const std::string profile_json = args.get("profile-json", "");
     opts.profile = args.has("profile") || !profile_json.empty();
@@ -588,7 +606,8 @@ run_train(const Args &args)
                         warmup.frequencies.size(), warmup_path.c_str(),
                         warmup_path.c_str(),
                         static_cast<long long>(
-                            args.get_int("scale-pct", 50)));
+                            args.get_int("scale-pct", 50, 1,
+                                         kMaxScalePct)));
         else
             return 1;
     }
@@ -600,24 +619,24 @@ run_serve(const Args &args)
 {
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
-    ropts.size_factor = double(args.get_int("scale-pct", 100)) / 100.0;
+    ropts.size_factor =
+        double(args.get_int("scale-pct", 100, 1, kMaxScalePct)) / 100.0;
     const graph::Dataset ds = graph::load_replica(
         parse_dataset(args.get("dataset", "products")), ropts);
 
     serve::ServerOptions sopts;
-    sopts.worker_threads = int(args.get_int("threads", 4));
+    sopts.worker_threads = int(args.get_int("threads", 4, 1, kMaxThreads));
     sopts.model.type = parse_model(args.get("model", "gcn"));
-    sopts.batcher.max_batch = int(args.get_int("batch-max", 32));
-    sopts.batcher.max_wait =
-        double(args.get_int("wait-us", 2000)) / 1e6;
-    sopts.admission.max_pending = args.get_int("max-pending", 64);
+    sopts.batcher.max_batch = int(args.get_int("batch-max", 32, 1));
+    sopts.batcher.max_wait = double(args.get_int("wait-us", 2000, 0)) / 1e6;
+    sopts.admission.max_pending = args.get_int("max-pending", 64, 0);
     sopts.drr_quantum =
-        double(args.get_int("drr-quantum-us", 1000)) / 1e6;
-    sopts.feature_cache_ratio =
-        double(args.get_int("cache-pct", 20)) / 100.0;
-    sopts.embedding.capacity_rows = args.get_int("embed-rows", -1);
-    sopts.compute_logits = args.get_int("logits", 0) != 0;
-    sopts.compute_threads = int(args.get_int("compute-threads", 1));
+        double(args.get_int("drr-quantum-us", 1000, 1)) / 1e6;
+    sopts.feature_cache_ratio = args.get_pct("cache-pct", 20);
+    sopts.embedding.capacity_rows = args.get_int("embed-rows", -1, -1);
+    sopts.compute_logits = args.get_int("logits", 0, 0, 1) != 0;
+    sopts.compute_threads =
+        int(args.get_int("compute-threads", 1, 1, kMaxThreads));
     sopts.num_gpus = int(args.get_int("gpus", 1, 1));
     sopts.partitioner =
         parse_partitioner(args.get("partitioner", "ldg"));
@@ -627,22 +646,28 @@ run_serve(const Args &args)
     else if (shard != "sharded")
         util::fatal("unknown shard mode '" + shard +
                     "' (sharded|replicated)");
-    sopts.seed = uint64_t(args.get_int("seed", 1));
+    sopts.seed = uint64_t(args.get_int("seed", 1, 0));
     sopts.storage = parse_storage_opts(args, ds);
     const std::string profile_json = args.get("profile-json", "");
     sopts.profile = args.has("profile") || !profile_json.empty();
-    sopts.modelled_samplers = int(args.get_int("samplers", 0));
+    sopts.modelled_samplers = int(args.get_int("samplers", 0, 0));
     sopts.autoscale.enabled = args.has("autoscale");
-    sopts.autoscale.min_workers = int(args.get_int("autoscale-min", 1));
-    sopts.autoscale.max_workers = int(args.get_int("autoscale-max", 8));
+    sopts.autoscale.min_workers =
+        int(args.get_int("autoscale-min", 1, 1, kMaxThreads));
+    sopts.autoscale.max_workers =
+        int(args.get_int("autoscale-max", 8, 1, kMaxThreads));
+    if (sopts.autoscale.max_workers < sopts.autoscale.min_workers)
+        util::fatal("--autoscale-max (" +
+                    std::to_string(sopts.autoscale.max_workers) +
+                    ") must be >= --autoscale-min (" +
+                    std::to_string(sopts.autoscale.min_workers) + ")");
     sopts.autoscale.cache_grow =
-        double(args.get_int("autoscale-cache-pct", 100)) / 100.0;
+        double(args.get_int("autoscale-cache-pct", 100, 1)) / 100.0;
 
     // --model2 hosts a second tier behind the same front door; both
     // tiers inherit the shared batcher/embedding settings.
     const std::string model2 = args.get("model2", "");
-    const double model2_share = std::clamp(
-        double(args.get_int("model2-share", 30)) / 100.0, 0.0, 1.0);
+    const double model2_share = args.get_pct("model2-share", 30);
     serve::LoadGeneratorOptions lopts;
     if (!model2.empty()) {
         serve::ModelTier tier;
@@ -660,19 +685,21 @@ run_serve(const Args &args)
     lopts.rate_rps = double(args.get_int("rate", 20000, 1));
     lopts.trace = parse_trace(args.get("trace", "const"));
     lopts.num_requests = args.get_int("requests", 2048, 1);
-    lopts.targets_per_request = int(args.get_int("targets", 1));
-    lopts.slo_deadline =
-        double(args.get_int("slo-ms", 20)) / 1e3;
-    lopts.class_mix = {double(args.get_int("mix-paid", 0)),
-                       double(args.get_int("mix-std", 100)),
-                       double(args.get_int("mix-be", 0))};
+    lopts.targets_per_request = int(args.get_int("targets", 1, 1));
+    lopts.slo_deadline = double(args.get_int("slo-ms", 20, 1)) / 1e3;
+    lopts.class_mix = {double(args.get_int("mix-paid", 0, 0, 100)),
+                       double(args.get_int("mix-std", 100, 0, 100)),
+                       double(args.get_int("mix-be", 0, 0, 100))};
+    if (lopts.class_mix[0] + lopts.class_mix[1] + lopts.class_mix[2] <=
+        0.0)
+        util::fatal("--mix-paid, --mix-std and --mix-be are all 0");
     lopts.seed = sopts.seed + 1;
 
     // --clients N turns the run into a closed loop: the trace length
     // is rounded down to a whole number of requests per client.
     serve::ClosedLoopOptions copts;
-    copts.num_clients = int(args.get_int("clients", 0));
-    copts.think_time = double(args.get_int("think-us", 2000)) / 1e6;
+    copts.num_clients = int(args.get_int("clients", 0, 0));
+    copts.think_time = double(args.get_int("think-us", 2000, 0)) / 1e6;
     if (copts.num_clients > 0) {
         copts.requests_per_client = std::max<int64_t>(
             1, lopts.num_requests / copts.num_clients);
@@ -688,6 +715,13 @@ run_serve(const Args &args)
         sopts.warmup = match::load_warmup_trace(warmup_path);
         if (sopts.warmup.empty())
             return 1;
+        if (sopts.warmup.frequencies.size() !=
+            size_t(ds.graph.num_nodes()))
+            util::fatal("--warmup trace covers " +
+                        std::to_string(sopts.warmup.frequencies.size()) +
+                        " nodes but the replica has " +
+                        std::to_string(ds.graph.num_nodes()) +
+                        " (record it at the same --scale-pct)");
     }
     serve::Server server(ds, sopts);
     serve::LoadGenerator gen(server.popularity(), lopts);
