@@ -15,6 +15,7 @@
  * seconds of one call over repeated trials (bench/harness.h), with its
  * interquartile range next to it. Pass --smoke for a seconds-long run.
  */
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -79,8 +80,9 @@ main(int argc, char **argv)
     Tensor ltb(m, n), etb(m, n);
     const double flops = 2.0 * double(m) * double(n) * double(k);
     w.key("single_thread").begin_array();
-    auto gemm_row = [&](const char *name, auto legacy, auto engine,
-                        const Tensor &lout, const Tensor &eout) {
+    auto gemm_row = [&](const char *name, double row_flops, auto legacy,
+                        auto engine, const Tensor &lout,
+                        const Tensor &eout) {
         const auto [legacy_s, engine_s] =
             bench::time_ab(trials, legacy, engine);
         w.begin_object();
@@ -90,20 +92,20 @@ main(int argc, char **argv)
         w.key("speedup").fixed(
             bench::ratio(legacy_s.median, engine_s.median), 3);
         w.key("engine_gflops")
-            .fixed(bench::ratio(flops, engine_s.median) / 1e9, 2);
+            .fixed(bench::ratio(row_flops, engine_s.median) / 1e9, 2);
         w.key("identical").boolean(
             witness.check(tensor_hash(lout), tensor_hash(eout)));
         w.end_object();
         return std::pair(legacy_s.median, engine_s.median);
     };
     const auto [gemm_legacy_s, gemm_engine_s] = gemm_row(
-        "gemm", [&] { reference::legacy_gemm(a, b, lc); },
+        "gemm", flops, [&] { reference::legacy_gemm(a, b, lc); },
         [&] { single.gemm(a, b, ec); }, lc, ec);
     gemm_row(
-        "gemm_ta", [&] { reference::legacy_gemm_ta(a, b2, lta); },
+        "gemm_ta", flops, [&] { reference::legacy_gemm_ta(a, b2, lta); },
         [&] { single.gemm_ta(a, b2, eta); }, lta, eta);
     gemm_row(
-        "gemm_tb", [&] { reference::legacy_gemm_tb(a, bt, ltb); },
+        "gemm_tb", flops, [&] { reference::legacy_gemm_tb(a, bt, ltb); },
         [&] { single.gemm_tb(a, bt, etb); }, ltb, etb);
     w.end_array();
 
@@ -120,6 +122,45 @@ main(int argc, char **argv)
     w.end_array();
     w.key("engine_single_thread_gflops")
         .fixed(bench::ratio(flops, gemm_engine_s) / 1e9, 2);
+    w.end_object();
+
+    // ---- GEMM: Products layer-0 shapes, T x 200 x 64 --------------
+    // The forward update reads dense aggregated features; the backward
+    // reads a ReLU-masked gradient (about half zeros), which must cost
+    // no more than a dense one.
+    const int64_t t = smoke ? 1750 : 7000, f = 200, h = 64;
+    util::Rng lrng(43);
+    const Tensor feat = Tensor::randn(t, f, lrng, 1.0f);
+    const Tensor weight = Tensor::randn(f, h, lrng, 1.0f);
+    const Tensor grad = Tensor::randn(t, h, lrng, 1.0f);
+    Tensor masked = grad;
+    for (int64_t i = 0; i < masked.numel(); ++i)
+        masked.data()[i] = std::max(masked.data()[i], 0.0f);
+    const double layer0_flops = 2.0 * double(t) * double(f) * double(h);
+    Tensor lfwd(t, h), efwd(t, h), lwg(f, h), ewg(f, h);
+    Tensor lig(t, f), eig(t, f), lmig(t, f), emig(t, f);
+    w.key("gemm_layer0").begin_object();
+    w.key("targets").integer(t);
+    w.key("in_dim").integer(f);
+    w.key("out_dim").integer(h);
+    w.key("single_thread").begin_array();
+    gemm_row(
+        "gemm", layer0_flops,
+        [&] { reference::legacy_gemm(feat, weight, lfwd); },
+        [&] { single.gemm(feat, weight, efwd); }, lfwd, efwd);
+    gemm_row(
+        "gemm_ta", layer0_flops,
+        [&] { reference::legacy_gemm_ta(feat, masked, lwg); },
+        [&] { single.gemm_ta(feat, masked, ewg); }, lwg, ewg);
+    gemm_row(
+        "gemm_tb_dense", layer0_flops,
+        [&] { reference::legacy_gemm_tb(grad, weight, lig); },
+        [&] { single.gemm_tb(grad, weight, eig); }, lig, eig);
+    gemm_row(
+        "gemm_tb_masked", layer0_flops,
+        [&] { reference::legacy_gemm_tb(masked, weight, lmig); },
+        [&] { single.gemm_tb(masked, weight, emig); }, lmig, emig);
+    w.end_array();
     w.end_object();
 
     // ---- Aggregation: 2048 targets x deg 15, 256-dim --------------

@@ -56,6 +56,12 @@ ComputeCostModel::training_step(const ModelConfig &model,
     FASTGL_CHECK(int(sg.blocks.size()) == model.num_layers,
                  "hop count != layer count");
     ComputeCost cost;
+    const auto backward_gemm = [&](int64_t m, int64_t n, int64_t k) {
+        const sim::KernelCost gemm = kernels_.gemm(m, n, k);
+        cost.backward_gemm_flops += gemm.flops;
+        ++cost.backward_gemm_calls;
+        return gemm.seconds;
+    };
 
     for (int l = 0; l < model.num_layers; ++l) {
         const auto &block =
@@ -112,6 +118,9 @@ ComputeCostModel::training_step(const ModelConfig &model,
         }
 
         // ---- Backward (Eq. 5): scatter aggregation + two GEMMs ----
+        // Layer 0's input-gradient GEMM (the first backward_gemm of
+        // each layer) and, for GCN/GIN, its scatter stay charged although
+        // the host skips them: see docs/COST_MODEL.md.
         if (model.type == ModelType::kGat) {
             cost.backward += aggregation_cost(
                                  block, static_cast<int>(out_dim))
@@ -119,23 +128,17 @@ ComputeCostModel::training_step(const ModelConfig &model,
             cost.backward +=
                 kernels_.elementwise(edges * model.gat_heads * 3)
                     .seconds;
-            cost.backward +=
-                kernels_.gemm(src_rows, in_dim, out_dim).seconds;
-            cost.backward +=
-                kernels_.gemm(in_dim, out_dim, src_rows).seconds;
+            cost.backward += backward_gemm(src_rows, in_dim, out_dim);
+            cost.backward += backward_gemm(in_dim, out_dim, src_rows);
         } else {
             cost.backward +=
                 aggregation_cost(block, static_cast<int>(in_dim))
                     .seconds;
-            cost.backward +=
-                kernels_.gemm(targets, in_dim, out_dim).seconds;
-            cost.backward +=
-                kernels_.gemm(in_dim, out_dim, targets).seconds;
+            cost.backward += backward_gemm(targets, in_dim, out_dim);
+            cost.backward += backward_gemm(in_dim, out_dim, targets);
             if (model.type == ModelType::kGin) {
-                cost.backward +=
-                    kernels_.gemm(targets, out_dim, out_dim).seconds;
-                cost.backward +=
-                    kernels_.gemm(out_dim, out_dim, targets).seconds;
+                cost.backward += backward_gemm(targets, out_dim, out_dim);
+                cost.backward += backward_gemm(out_dim, out_dim, targets);
             }
         }
     }

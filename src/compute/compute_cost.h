@@ -34,6 +34,9 @@ struct ComputeCost
     double preprocess = 0.0; ///< Nonzero only for GNNAdvisor.
     double agg_forward_flops = 0.0;
     double agg_forward_bytes = 0.0;
+    /** 2*m*n*k summed over the backward GEMMs charged. */
+    double backward_gemm_flops = 0.0;
+    int64_t backward_gemm_calls = 0; ///< Backward GEMMs charged.
 
     double total() const { return forward + backward + preprocess; }
 };

@@ -126,7 +126,7 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
 
 Tensor
 GatLayer::backward(const sample::LayerBlock &block,
-                   const Tensor &grad_output)
+                   const Tensor &grad_output, bool need_input_grad)
 {
     const int64_t edges = block.num_edges();
     const int64_t targets = block.num_targets();
@@ -247,6 +247,8 @@ GatLayer::backward(const sample::LayerBlock &block,
                  "backward without matching forward");
     engine_->gemm_ta(saved_input_, grad_z, grad_weight);
     weight_.grad.add_scaled(grad_weight, 1.0f);
+    if (!need_input_grad)
+        return Tensor();
 
     Tensor grad_input(input_rows_, in_dim_);
     engine_->gemm_tb(grad_z, weight_.value, grad_input);

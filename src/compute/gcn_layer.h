@@ -28,7 +28,8 @@ class GcnLayer : public GnnLayer
     Tensor forward(const sample::LayerBlock &block,
                    const Tensor &input) override;
     Tensor backward(const sample::LayerBlock &block,
-                    const Tensor &grad_output) override;
+                    const Tensor &grad_output,
+                    bool need_input_grad) override;
     std::vector<Parameter *> parameters() override;
 
     int64_t in_dim() const override { return in_dim_; }

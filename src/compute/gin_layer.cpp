@@ -52,7 +52,7 @@ GinLayer::forward(const sample::LayerBlock &block, const Tensor &input)
 
 Tensor
 GinLayer::backward(const sample::LayerBlock &block,
-                   const Tensor &grad_output)
+                   const Tensor &grad_output, bool need_input_grad)
 {
     // Second linear: fused final-ReLU mask + bias column sums.
     Tensor grad = grad_output;
@@ -79,6 +79,8 @@ GinLayer::backward(const sample::LayerBlock &block,
     Tensor grad_w1(in_dim_, hidden_dim_);
     engine_->gemm_ta(aggregated_, grad_hidden, grad_w1);
     w1_.grad.add_scaled(grad_w1, 1.0f);
+    if (!need_input_grad)
+        return Tensor();
 
     Tensor grad_agg(block.num_targets(), in_dim_);
     engine_->gemm_tb(grad_hidden, w1_.value, grad_agg);

@@ -42,12 +42,18 @@ class GnnLayer
                            const Tensor &input) = 0;
 
     /**
-     * Backward pass; must follow the matching forward.
-     * @param grad_output gradient w.r.t. the forward output
-     * @return gradient w.r.t. the forward input (same rows as input)
+     * Backward pass; must follow the matching forward. Parameter
+     * gradients are accumulated whatever @p need_input_grad says.
+     * @param grad_output     gradient w.r.t. the forward output
+     * @param need_input_grad compute the input gradient; false skips
+     *        its GEMM and aggregation (the input-side layer's input is
+     *        plain features that nothing differentiates)
+     * @return gradient w.r.t. the forward input (same rows as input),
+     *         or an empty tensor when @p need_input_grad is false
      */
     virtual Tensor backward(const sample::LayerBlock &block,
-                            const Tensor &grad_output) = 0;
+                            const Tensor &grad_output,
+                            bool need_input_grad) = 0;
 
     /** Trainable parameters (value + grad pairs). */
     virtual std::vector<Parameter *> parameters() = 0;

@@ -83,10 +83,12 @@ void
 GnnModel::backward(const sample::SampledSubgraph &sg,
                    const Tensor &grad_logits)
 {
+    // Layer 0's input is the gathered features, which nothing
+    // differentiates, so its input gradient is never computed.
     Tensor grad = grad_logits;
     for (size_t l = layers_.size(); l-- > 0;) {
         const auto &block = sg.blocks[layers_.size() - 1 - l];
-        grad = layers_[l]->backward(block, grad);
+        grad = layers_[l]->backward(block, grad, l > 0);
     }
 }
 

@@ -1,6 +1,7 @@
 #include "compute/kernel_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -30,11 +31,13 @@ namespace {
 #pragma GCC pop_options
 #endif
 
-using PackFn = void (*)(const float *, int64_t, int64_t, float *);
-using GemmRowsFn = void (*)(const float *, int64_t, int64_t,
-                            const float *, int64_t, int64_t, bool,
-                            const float *, int, float, float *, int64_t,
-                            int64_t);
+using PackFn = bool (*)(const float *, int64_t, int64_t, float *);
+using PackTFn = void (*)(const float *, int64_t, int64_t, float *);
+using TransposeFn = void (*)(const float *, int64_t, int64_t, int64_t,
+                             int64_t, float *);
+using GemmRowsFn = void (*)(const float *, int64_t, const float *,
+                            int64_t, int64_t, const float *, int, float,
+                            float *, int64_t, int64_t);
 using AggFwdFn = void (*)(const fastgl::graph::EdgeId *,
                           const fastgl::graph::NodeId *, const float *,
                           const float *, int64_t, float *, int64_t,
@@ -48,20 +51,24 @@ using AggBwdFn = void (*)(const fastgl::graph::EdgeId *,
 struct Kernels
 {
     PackFn pack_b;
-    PackFn pack_bt;
-    GemmRowsFn gemm_rows;
+    PackTFn pack_bt;
+    TransposeFn transpose_rows;
+    GemmRowsFn gemm_rows;      ///< No zero-skip.
+    GemmRowsFn gemm_rows_skip; ///< Skips A(i,p) == 0 terms.
     AggFwdFn agg_forward_rows;
     AggBwdFn agg_backward_rows;
 };
 
-constexpr Kernels kBaseKernels{base::pack_panels, base::pack_panels_t,
-                               base::gemm_rows, base::agg_forward_rows,
-                               base::agg_backward_rows};
+constexpr Kernels kBaseKernels{
+    base::pack_panels,      base::pack_panels_t,   base::transpose_rows,
+    base::gemm_rows<false>, base::gemm_rows<true>, base::agg_forward_rows,
+    base::agg_backward_rows};
 
 #ifdef FASTGL_HAVE_AVX2_VARIANT
-constexpr Kernels kAvx2Kernels{avx2::pack_panels, avx2::pack_panels_t,
-                               avx2::gemm_rows, avx2::agg_forward_rows,
-                               avx2::agg_backward_rows};
+constexpr Kernels kAvx2Kernels{
+    avx2::pack_panels,      avx2::pack_panels_t,   avx2::transpose_rows,
+    avx2::gemm_rows<false>, avx2::gemm_rows<true>, avx2::agg_forward_rows,
+    avx2::agg_backward_rows};
 
 /**
  * Smallest wall time of a few GEMM microkernel runs on an L1-resident
@@ -83,8 +90,8 @@ time_gemm(const Kernels &ks)
     double best = 1e30;
     for (int round = 0; round < 3; ++round) {
         const fastgl::util::WallTimer timer;
-        ks.gemm_rows(a.data(), d, 1, packed.data(), d, d, true, nullptr,
-                     0, 0.0f, c.data(), 0, d);
+        ks.gemm_rows(a.data(), d, packed.data(), d, d, nullptr, 0, 0.0f,
+                     c.data(), 0, d);
         best = std::min(best, timer.elapsed_seconds());
     }
     return best;
@@ -129,7 +136,9 @@ kernels()
             if (time_gemm(kAvx2Kernels) < time_gemm(kBaseKernels)) {
                 mixed.pack_b = kAvx2Kernels.pack_b;
                 mixed.pack_bt = kAvx2Kernels.pack_bt;
+                mixed.transpose_rows = kAvx2Kernels.transpose_rows;
                 mixed.gemm_rows = kAvx2Kernels.gemm_rows;
+                mixed.gemm_rows_skip = kAvx2Kernels.gemm_rows_skip;
             }
             if (time_agg(kAvx2Kernels) < time_agg(kBaseKernels)) {
                 mixed.agg_forward_rows = kAvx2Kernels.agg_forward_rows;
@@ -203,32 +212,25 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
                        const Tensor *bias, Activation act, float alpha,
                        Tensor &c)
 {
-    int64_t m = 0, k = 0, n = 0, sa_row = 0, sa_col = 0;
-    bool skip_zero = true;
+    int64_t m = 0, k = 0, n = 0;
     switch (kind) {
       case AKind::kNormal:
         FASTGL_CHECK(a.cols() == b.rows(), "gemm inner dim mismatch");
         FASTGL_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
                      "gemm output shape mismatch");
         m = a.rows(), k = a.cols(), n = b.cols();
-        sa_row = k, sa_col = 1;
         break;
       case AKind::kTransA:
         FASTGL_CHECK(a.rows() == b.rows(), "gemm_ta inner dim mismatch");
         FASTGL_CHECK(c.rows() == a.cols() && c.cols() == b.cols(),
                      "gemm_ta output shape mismatch");
         k = a.rows(), m = a.cols(), n = b.cols();
-        sa_row = 1, sa_col = m;
         break;
       case AKind::kTransB:
         FASTGL_CHECK(a.cols() == b.cols(), "gemm_tb inner dim mismatch");
         FASTGL_CHECK(c.rows() == a.rows() && c.cols() == b.rows(),
                      "gemm_tb output shape mismatch");
         m = a.rows(), k = a.cols(), n = b.rows();
-        sa_row = k, sa_col = 1;
-        // The naive gemm_tb has no zero-skip shortcut; keep its exact
-        // FP term set.
-        skip_zero = false;
         break;
     }
     if (bias)
@@ -240,27 +242,45 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
     const util::WallTimer timer;
     const Kernels &ks = kernels();
 
-    // Pack all of B once into panel layout, in per-caller-thread arena
-    // scratch (workers only read the packed panels).
+    // Pack all of B once into panel layout (and, for gemm_ta, make room
+    // for A^T) in per-caller-thread arena scratch; workers only read the
+    // packed panels and write their own rows of A^T.
     const int64_t panels = (n + kPanelWidth - 1) / kPanelWidth;
     thread_local util::ArenaAllocator pack_arena;
     pack_arena.reset();
     float *packed = pack_arena.alloc_array<float>(
         static_cast<size_t>(panels * k * kPanelWidth));
+    // The naive gemm/gemm_ta skip A(i,p) == 0 terms; gemm_tb has no
+    // such shortcut. A skipped term is av*b = +-0 when b is finite, and
+    // adding +-0 never changes an accumulator that started at +0 (an
+    // IEEE sum is -0 only when both addends are), so the skip changes
+    // bits only when B holds an Inf or NaN — and only then does the
+    // skipping (slower, branching) form run.
+    bool skip_zero = false;
     if (kind == AKind::kTransB)
         ks.pack_bt(b.data(), n, k, packed);
     else
-        ks.pack_b(b.data(), k, n, packed);
+        skip_zero = !ks.pack_b(b.data(), k, n, packed);
+    const GemmRowsFn rows_fn =
+        skip_zero ? ks.gemm_rows_skip : ks.gemm_rows;
 
     const float *adata = a.data();
+    float *at = kind == AKind::kTransA
+                    ? pack_arena.alloc_array<float>(
+                          static_cast<size_t>(m * k))
+                    : nullptr;
     const float *bias_data = bias ? bias->data() : nullptr;
     float *cdata = c.data();
     const int iact = act == Activation::kRelu         ? 1
                      : act == Activation::kLeakyRelu ? 2
                                                      : 0;
     parallel_rows(m, [&](int64_t i0, int64_t i1) {
-        ks.gemm_rows(adata, sa_row, sa_col, packed, k, n, skip_zero,
-                     bias_data, iact, alpha, cdata, i0, i1);
+        // gemm_ta's A would be walked with stride m; each worker first
+        // transposes its own rows of A^T, then runs the plain kernel.
+        if (at)
+            ks.transpose_rows(adata, k, m, i0, i1, at);
+        rows_fn(at ? at : adata, k, packed, k, n, bias_data, iact, alpha,
+                cdata, i0, i1);
     });
 
     if (record_stats_) {
@@ -348,34 +368,58 @@ KernelEngine::activation_bias_backward(const Tensor &ref, Activation act,
                      "bias grad shape mismatch");
     const int64_t rows = grad.rows();
     const int64_t cols = grad.cols();
-    const float *refd = ref.data();
     float *gd = grad.data();
+    // kNone reads no ref (it may be empty); point the mask at grad.
+    const float *refd = act == Activation::kNone ? gd : ref.data();
     float *gb = grad_bias ? grad_bias->data() : nullptr;
     // Column-parallel: each chunk owns its bias columns, and per column
     // the sum runs over rows in ascending order — the same chain the
-    // sequential column-sum builds.
-    parallel_rows(cols, [&](int64_t c0, int64_t c1) {
-        if (gb) {
-            for (int64_t col = c0; col < c1; ++col)
-                gb[col] = 0.0f;
-        }
-        for (int64_t r = 0; r < rows; ++r) {
-            const int64_t off = r * cols;
-            for (int64_t col = c0; col < c1; ++col) {
-                float g = gd[off + col];
-                if (act == Activation::kRelu) {
-                    if (refd[off + col] <= 0.0f)
-                        g = 0.0f;
-                } else if (act == Activation::kLeakyRelu) {
-                    if (refd[off + col] <= 0.0f)
-                        g *= alpha;
-                }
-                gd[off + col] = g;
-                if (gb)
-                    gb[col] += g;
+    // sequential column-sum builds. The mask is a select on explicit
+    // vectors, not a branch (a branch mispredicts on every other element
+    // of a ReLU output), and keeps `ref <= 0` exactly: a NaN ref keeps
+    // its gradient. @p mask takes (ref, grad) as floats or as vf4s.
+    using base::load4;
+    using base::store4;
+    using base::vf4;
+    const auto run = [&](auto mask) {
+        parallel_rows(cols, [&](int64_t c0, int64_t c1) {
+            if (gb) {
+                for (int64_t col = c0; col < c1; ++col)
+                    gb[col] = 0.0f;
             }
-        }
-    });
+            for (int64_t r = 0; r < rows; ++r) {
+                const float *rr = refd + r * cols;
+                float *gr = gd + r * cols;
+                int64_t col = c0;
+                for (; col + 4 <= c1; col += 4) {
+                    const vf4 g = mask(load4(rr + col), load4(gr + col));
+                    store4(gr + col, g);
+                    if (gb)
+                        store4(gb + col, load4(gb + col) + g);
+                }
+                for (; col < c1; ++col) {
+                    gr[col] = mask(rr[col], gr[col]);
+                    if (gb)
+                        gb[col] += gr[col];
+                }
+            }
+        });
+    };
+    switch (act) {
+      case Activation::kRelu:
+        run([](auto ref, auto g) {
+            return ref <= 0.0f ? decltype(g){} : g;
+        });
+        break;
+      case Activation::kLeakyRelu:
+        run([alpha](auto ref, auto g) {
+            return ref <= 0.0f ? g * alpha : g;
+        });
+        break;
+      case Activation::kNone:
+        run([](auto, auto g) { return g; });
+        break;
+    }
 }
 
 void

@@ -75,8 +75,10 @@ simulate_symmetric(const std::vector<std::vector<MultiGpuBatch>> &per_device,
                 continue;
             const BatchStageTimes &t = batches[i].times;
             const size_t sd = static_cast<size_t>(d);
-            const std::string tag =
-                "g" + std::to_string(d) + "-b" + std::to_string(i);
+            std::string tag = "g";
+            tag += std::to_string(d);
+            tag += "-b";
+            tag += std::to_string(i);
 
             std::vector<int> sample_deps;
             if (prev_sample[sd] >= 0)

@@ -21,7 +21,8 @@ simulate_epoch(const std::vector<BatchStageTimes> &batches,
     int prev_copy = -1;
     for (size_t b = 0; b < batches.size(); ++b) {
         const auto &t = batches[b];
-        const std::string tag = "b" + std::to_string(b);
+        std::string tag = "b";
+        tag += std::to_string(b);
 
         // Sampling: on a dedicated sampler it only serializes with
         // itself; on the training GPU it also waits for the previous

@@ -5,11 +5,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "compute/compute_cost.h"
+#include "compute/gat_layer.h"
+#include "compute/gcn_layer.h"
+#include "compute/gin_layer.h"
+#include "compute/kernel_engine.h"
 #include "graph/generators.h"
 #include "sample/neighbor_sampler.h"
+#include "util/rng.h"
 
 namespace fastgl {
 namespace {
@@ -163,6 +171,203 @@ TEST(ComputeCost, RooflineAggregationExposesCounts)
     EXPECT_GT(cost.bytes, 0.0);
     EXPECT_GT(cost.gflops(), 0.0);
 }
+
+// ------------------------------------------- backward work accounting
+
+/** Host backward work, derived from layer dims and block sizes. */
+struct BackwardWork
+{
+    int64_t gemm_calls = 0;
+    double gemm_flops = 0.0;
+    int64_t agg_calls = 0;
+};
+
+/**
+ * What GnnModel::backward runs on the host: per layer the weight
+ * gradient GEMM(s) and, except for layer 0, the input-gradient GEMM and
+ * (GCN/GIN) the Eq. 5 scatter. GAT's attention backward runs its own
+ * loops, not the engine's aggregation. GAT's projection GEMMs run over
+ * every input row of the layer; with @p cost_model_rows they are sized
+ * the way ComputeCostModel sizes them instead, min(subgraph nodes,
+ * targets + edges) of the layer's block.
+ */
+BackwardWork
+derived_backward_work(const compute::ModelConfig &cfg,
+                      const std::vector<std::pair<int64_t, int64_t>> &dims,
+                      const sample::SampledSubgraph &sg,
+                      bool cost_model_rows)
+{
+    BackwardWork work;
+    const size_t layers = dims.size();
+    for (size_t l = 0; l < layers; ++l) {
+        const auto &block = sg.blocks[layers - 1 - l];
+        const double in = double(dims[l].first);
+        const double out = double(dims[l].second);
+        const double targets = double(block.num_targets());
+        const bool input_grad = l > 0;
+        switch (cfg.type) {
+          case compute::ModelType::kGcn:
+            work.gemm_calls += input_grad ? 2 : 1;
+            work.gemm_flops += (input_grad ? 2 : 1) * 2 * in * targets * out;
+            work.agg_calls += input_grad ? 1 : 0;
+            break;
+          case compute::ModelType::kGin:
+            // Two weight GEMMs, the hidden-gradient GEMM and (l > 0) the
+            // input-gradient GEMM; hidden width = out.
+            work.gemm_calls += input_grad ? 4 : 3;
+            work.gemm_flops += 2 * 2 * out * targets * out +
+                               (input_grad ? 2 : 1) * 2 * in * targets *
+                                   out;
+            work.agg_calls += input_grad ? 1 : 0;
+            break;
+          case compute::ModelType::kGat: {
+            const double rows =
+                cost_model_rows
+                    ? double(std::min<int64_t>(
+                          sg.num_nodes(),
+                          block.num_targets() + block.num_edges()))
+                : l == 0 ? double(sg.num_nodes())
+                         : double(sg.blocks[layers - l].num_targets());
+            work.gemm_calls += input_grad ? 2 : 1;
+            work.gemm_flops += (input_grad ? 2 : 1) * 2 * rows * in * out;
+            break;
+          }
+        }
+    }
+    return work;
+}
+
+class BackwardWorkAccounting
+    : public ::testing::TestWithParam<compute::ModelType>
+{
+  protected:
+    compute::ModelConfig
+    config() const
+    {
+        compute::ModelConfig cfg;
+        cfg.type = GetParam();
+        cfg.in_dim = 24;
+        cfg.hidden_dim = 16;
+        cfg.num_classes = 7;
+        cfg.num_layers = 3;
+        cfg.gat_heads = 2;
+        cfg.gat_head_dim = 4;
+        return cfg;
+    }
+};
+
+TEST_P(BackwardWorkAccounting, EngineCountsMatchLayerDimsAndCostModel)
+{
+    const auto sg = sampled_subgraph();
+    const compute::ModelConfig cfg = config();
+    compute::GnnModel model(cfg);
+    compute::KernelEngine engine(2);
+    model.set_engine(&engine);
+    util::Rng rng(31);
+    const compute::Tensor x =
+        compute::Tensor::randn(sg.num_nodes(), cfg.in_dim, rng, 1.0f);
+    const compute::Tensor logits = model.forward(sg, x);
+    const compute::Tensor grad = compute::Tensor::randn(
+        logits.rows(), logits.cols(), rng, 1.0f);
+    engine.reset_stats();
+    model.backward(sg, grad);
+
+    const BackwardWork want =
+        derived_backward_work(cfg, model.layer_dims(), sg, false);
+    const compute::KernelEngineStats &got = engine.stats();
+    EXPECT_EQ(got.gemm_calls, want.gemm_calls);
+    EXPECT_DOUBLE_EQ(got.gemm_flops, want.gemm_flops);
+    EXPECT_EQ(got.agg_calls, want.agg_calls);
+
+    // The cost model charges the same backward GEMMs plus layer 0's
+    // input-gradient GEMM, which the host skips; for GAT it also sizes
+    // the projection by its own row rule (docs/COST_MODEL.md).
+    compute::ComputeCostModel cost_model(sim::rtx3090(),
+                                         compute::ComputePlan::kNaive);
+    const compute::ComputeCost cost = cost_model.training_step(cfg, sg);
+    const auto &block0 = sg.blocks.back();
+    const int64_t in0 = model.layer_dims()[0].first;
+    const int64_t out0 = model.layer_dims()[0].second;
+    const int64_t rows0 =
+        GetParam() == compute::ModelType::kGat
+            ? std::min<int64_t>(sg.num_nodes(),
+                                block0.num_targets() + block0.num_edges())
+            : block0.num_targets();
+    const double layer0_input_grad =
+        cost_model.kernel_model().gemm(rows0, in0, out0).flops;
+    const BackwardWork charged =
+        derived_backward_work(cfg, model.layer_dims(), sg, true);
+    EXPECT_EQ(got.gemm_calls, cost.backward_gemm_calls - 1);
+    EXPECT_DOUBLE_EQ(charged.gemm_flops,
+                     cost.backward_gemm_flops - layer0_input_grad);
+    if (GetParam() != compute::ModelType::kGat) {
+        EXPECT_DOUBLE_EQ(got.gemm_flops, charged.gemm_flops);
+    }
+}
+
+/** One layer of the model's type with input-side dims. */
+std::unique_ptr<compute::GnnLayer>
+make_layer(compute::ModelType type, util::Rng &rng)
+{
+    switch (type) {
+      case compute::ModelType::kGcn:
+        return std::make_unique<compute::GcnLayer>(24, 16, true, rng);
+      case compute::ModelType::kGin:
+        return std::make_unique<compute::GinLayer>(24, 16, true, rng);
+      case compute::ModelType::kGat:
+        return std::make_unique<compute::GatLayer>(24, 2, 4, true, rng);
+    }
+    return nullptr;
+}
+
+TEST_P(BackwardWorkAccounting,
+       SkippingInputGradientKeepsParameterGradsBitIdentical)
+{
+    const auto sg = sampled_subgraph();
+    const auto &block = sg.blocks.back(); // the input-side layer's block
+    util::Rng rng(41);
+    auto layer = make_layer(GetParam(), rng);
+    compute::KernelEngine engine(2);
+    layer->set_engine(&engine);
+    const compute::Tensor x =
+        compute::Tensor::randn(sg.num_nodes(), 24, rng, 1.0f);
+    const compute::Tensor gout = compute::Tensor::randn(
+        block.num_targets(), layer->out_dim(), rng, 1.0f);
+
+    std::vector<compute::Tensor> with_input_grad;
+    for (const bool need_input_grad : {true, false}) {
+        for (compute::Parameter *p : layer->parameters())
+            p->zero_grad();
+        layer->forward(block, x);
+        const compute::Tensor gin =
+            layer->backward(block, gout, need_input_grad);
+        if (need_input_grad) {
+            EXPECT_EQ(gin.rows(), sg.num_nodes());
+            for (compute::Parameter *p : layer->parameters())
+                with_input_grad.push_back(p->grad);
+            continue;
+        }
+        EXPECT_EQ(gin.numel(), 0);
+        const auto params = layer->parameters();
+        ASSERT_EQ(params.size(), with_input_grad.size());
+        for (size_t i = 0; i < params.size(); ++i) {
+            const compute::Tensor &g = params[i]->grad;
+            ASSERT_TRUE(g.same_shape(with_input_grad[i]));
+            EXPECT_EQ(std::memcmp(g.data(), with_input_grad[i].data(),
+                                  size_t(g.numel()) * sizeof(float)),
+                      0)
+                << "parameter " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, BackwardWorkAccounting,
+                         ::testing::Values(compute::ModelType::kGcn,
+                                           compute::ModelType::kGin,
+                                           compute::ModelType::kGat),
+                         [](const auto &info) {
+                             return compute::model_type_name(info.param);
+                         });
 
 TEST(ComputeCost, PlanNamesPrintable)
 {

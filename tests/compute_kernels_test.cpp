@@ -9,8 +9,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "compute/aggregate.h"
@@ -117,7 +119,11 @@ TEST(ComputeKernels, GemmMatchesLegacyBitwiseAtAnyWidth)
 TEST(ComputeKernels, GemmTaMatchesLegacyBitwiseAtAnyWidth)
 {
     util::Rng rng(12);
-    const int64_t shapes[][3] = {{3, 5, 2}, {17, 33, 29}, {96, 40, 64}};
+    // k = T, the sampled-target count of a weight-gradient GEMM, runs to
+    // thousands; the transposed-A path must hold past 4096.
+    const int64_t shapes[][3] = {{3, 5, 2},      {17, 33, 29},
+                                 {96, 40, 64},   {4096, 37, 21},
+                                 {5003, 9, 17}};
     for (const auto &s : shapes) {
         // A is [k x m] here; C = A^T B is [m x n].
         const Tensor a = random_with_zeros(s[0], s[1], rng);
@@ -152,6 +158,115 @@ TEST(ComputeKernels, GemmTbMatchesLegacyBitwiseAtAnyWidth)
             EXPECT_TRUE(bitwise_equal(want, got))
                 << s[0] << "x" << s[1] << "x" << s[2] << " at "
                 << threads << " threads";
+        }
+    }
+}
+
+/** A ReLU output: randn clamped at zero, about half the entries 0. */
+Tensor
+relu_masked(int64_t rows, int64_t cols, util::Rng &rng)
+{
+    Tensor t = Tensor::randn(rows, cols, rng, 1.0f);
+    for (int64_t i = 0; i < t.numel(); ++i)
+        t.data()[i] = std::max(t.data()[i], 0.0f);
+    return t;
+}
+
+/** Bitwise equal, except that any two NaNs compare equal. */
+bool
+same_bits_or_both_nan(const Tensor &x, const Tensor &y)
+{
+    if (!x.same_shape(y))
+        return false;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+        const float a = x.data()[i], b = y.data()[i];
+        if (std::isnan(a) && std::isnan(b))
+            continue;
+        if (std::memcmp(&a, &b, sizeof a) != 0)
+            return false;
+    }
+    return true;
+}
+
+/** Run @p engine_op at every width and compare with @p want. */
+template <typename Op>
+void
+expect_engine_matches(const Tensor &want, Op engine_op, const char *what)
+{
+    for (int threads : kWidths) {
+        KernelEngine engine(threads);
+        Tensor got(want.rows(), want.cols());
+        engine_op(engine, got);
+        EXPECT_TRUE(same_bits_or_both_nan(want, got))
+            << what << " at " << threads << " threads";
+    }
+}
+
+TEST(ComputeKernels, GemmOnReluMaskedOperandsMatchesLegacyBitwise)
+{
+    util::Rng rng(14);
+    const Tensor a = relu_masked(70, 96, rng);
+    const Tensor b = Tensor::randn(96, 45, rng, 1.0f);
+    Tensor want(70, 45);
+    legacy_gemm(a, b, want);
+    expect_engine_matches(
+        want, [&](KernelEngine &e, Tensor &c) { e.gemm(a, b, c); },
+        "gemm");
+
+    const Tensor b2 = Tensor::randn(70, 45, rng, 1.0f);
+    Tensor want_ta(96, 45);
+    legacy_gemm_ta(a, b2, want_ta);
+    expect_engine_matches(
+        want_ta, [&](KernelEngine &e, Tensor &c) { e.gemm_ta(a, b2, c); },
+        "gemm_ta");
+
+    const Tensor bt = Tensor::randn(45, 96, rng, 1.0f);
+    Tensor want_tb(70, 45);
+    legacy_gemm_tb(a, bt, want_tb);
+    expect_engine_matches(
+        want_tb, [&](KernelEngine &e, Tensor &c) { e.gemm_tb(a, bt, c); },
+        "gemm_tb");
+}
+
+TEST(ComputeKernels, GemmWithNegZeroInfNanInBMatchesLegacyBitwise)
+{
+    // The legacy gemm/gemm_ta skip A(i,p) == 0 terms. With B holding
+    // Inf or NaN that skip decides between a finite and a NaN result,
+    // and -0.0 must come out with the legacy sign of zero.
+    const float kInf = std::numeric_limits<float>::infinity();
+    const float kNan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<std::vector<float>> specials = {
+        {-0.0f}, {kInf}, {kNan}, {-0.0f, kInf, kNan}};
+    util::Rng rng(16);
+    for (const auto &values : specials) {
+        const Tensor a = relu_masked(45, 38, rng);
+        Tensor b = Tensor::randn(38, 29, rng, 1.0f);
+        for (int64_t i = 0; i < b.numel(); i += 13)
+            b.data()[i] = values[size_t(i / 13) % values.size()];
+        Tensor want(45, 29);
+        legacy_gemm(a, b, want);
+        expect_engine_matches(
+            want, [&](KernelEngine &e, Tensor &c) { e.gemm(a, b, c); },
+            "gemm");
+
+        const Tensor at = relu_masked(38, 45, rng);
+        Tensor want_ta(45, 29);
+        legacy_gemm_ta(at, b, want_ta);
+        expect_engine_matches(
+            want_ta,
+            [&](KernelEngine &e, Tensor &c) { e.gemm_ta(at, b, c); },
+            "gemm_ta");
+
+        // A kernel that ignored the skip would compute this instead;
+        // with Inf or NaN in B it must differ, or the case tests nothing.
+        if (!std::isfinite(values.back())) {
+            Tensor bt(29, 38);
+            for (int64_t p = 0; p < 38; ++p)
+                for (int64_t j = 0; j < 29; ++j)
+                    bt.at(j, p) = b.at(p, j);
+            Tensor no_skip(45, 29);
+            legacy_gemm_tb(a, bt, no_skip);
+            EXPECT_FALSE(same_bits_or_both_nan(want, no_skip));
         }
     }
 }
@@ -474,7 +589,7 @@ check_layer_input_gradient(compute::GnnLayer &layer)
         Tensor::randn(3, layer.out_dim(), rng, 1.0f);
 
     layer.forward(blk, input);
-    const Tensor analytic = layer.backward(blk, projection);
+    const Tensor analytic = layer.backward(blk, projection, true);
 
     constexpr float kEps = 1e-2f;
     const int64_t stride = std::max<int64_t>(1, input.numel() / 7);
@@ -532,7 +647,7 @@ TEST(ComputeKernels, LayerOutputsBitIdenticalAcrossEngineWidths)
         const Tensor input = Tensor::randn(5, 6, drng, 1.0f);
         const Tensor gout = Tensor::randn(3, 8, drng, 1.0f);
         const Tensor out = layer.forward(blk, input);
-        const Tensor gin = layer.backward(blk, gout);
+        const Tensor gin = layer.backward(blk, gout, true);
         if (threads == 1) {
             ref_out = out;
             ref_grad = gin;

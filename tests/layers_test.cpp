@@ -112,11 +112,12 @@ TEST_P(LayerGradCheck, ParameterGradientsMatchFiniteDifferences)
     Tensor projection =
         Tensor::randn(blk.num_targets(), layer->out_dim(), rng, 1.0f);
 
-    // Analytic gradients.
+    // Analytic gradients, with the input gradient skipped as it is for
+    // the input-side layer in training.
     for (auto *p : layer->parameters())
         p->zero_grad();
     layer->forward(blk, input);
-    layer->backward(blk, projection);
+    layer->backward(blk, projection, false);
 
     for (auto *p : layer->parameters()) {
         Tensor analytic = p->grad; // copy before re-forwards disturb it
@@ -137,7 +138,7 @@ TEST_P(LayerGradCheck, InputGradientsMatchFiniteDifferences)
     for (auto *p : layer->parameters())
         p->zero_grad();
     layer->forward(blk, input);
-    Tensor grad_input = layer->backward(blk, projection);
+    Tensor grad_input = layer->backward(blk, projection, true);
     ASSERT_EQ(grad_input.rows(), input.rows());
     ASSERT_EQ(grad_input.cols(), input.cols());
 

@@ -5,9 +5,9 @@
 # "fails" forever even though the tree is fine.
 #
 # Usage:
-#   tools/ci.sh   # warnings-as-errors build + full ctest, then the full
-#                 # ctest again under AddressSanitizer + UBSan and under
-#                 # ThreadSanitizer
+#   tools/ci.sh   # warnings-as-errors build (src/ and tests/) + full
+#                 # ctest, then the full ctest again under
+#                 # AddressSanitizer + UBSan and under ThreadSanitizer
 #
 # Environment:
 #   FASTGL_CI_JOBS   parallel build/test jobs (default: nproc)
@@ -24,8 +24,8 @@ run_config() {
     cmake --build "$dir" -j "$JOBS"
 }
 
-echo "==> primary configuration (tests built with -Werror)"
-run_config build-ci -DFASTGL_TEST_WERROR=ON
+echo "==> primary configuration (src/ and tests/ built with -Werror)"
+run_config build-ci -DFASTGL_WERROR=ON
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
 # Memory and undefined-behaviour check of the whole suite: one
