@@ -17,8 +17,9 @@
  * exiting non-zero when any fails:
  *
  *  (a) exactness: the generalized N-device scheduler at one device
- *      reproduces the legacy core::simulate_epoch makespan bit for
- *      bit (== on doubles, not a tolerance);
+ *      reproduces the legacy single-trainer makespan
+ *      (reference::legacy_epoch_makespan) bit for bit (== on doubles,
+ *      not a tolerance);
  *  (b) factoring pays: on the sample-bound workload the
  *      factored+switcher makespan is no worse than symmetric data
  *      parallelism at every multi-GPU width;
@@ -40,6 +41,7 @@
 
 #include "fastgl.h"
 #include "harness.h"
+#include "legacy_reference.h"
 
 namespace {
 
@@ -159,7 +161,6 @@ main(int argc, char **argv)
                 core::MultiGpuConfig cfg;
                 cfg.mode = mode;
                 cfg.base = base;
-                cfg.num_devices = gpus;
                 cfg.num_samplers = 1;
                 // Scale the role-switch cost to the workload: a
                 // stream-rebind handover worth a few percent of one
@@ -204,8 +205,7 @@ main(int argc, char **argv)
 
     // Check (a): the generalized scheduler degrades to the legacy
     // single-trainer model exactly (same floats, not "close").
-    const double legacy =
-        core::simulate_epoch(stages, base).makespan;
+    const double legacy = reference::legacy_epoch_makespan(stages, base);
     const bool exact_single =
         span("balanced", 1, core::MultiGpuMode::kSymmetric) == legacy;
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Extension validation: the Pipeline's closed-form wall-clock vs the
- * discrete-event timeline executed batch by batch, for each framework's
- * overlap structure (serial DGL, GNNLab's dedicated sampler + double
+ * discrete-event timeline (core::simulate_epoch_multi on trainer 0's
+ * batch list) executed batch by batch, for each framework's overlap
+ * structure (serial DGL, GNNLab's dedicated sampler + double
  * buffering, FastGL's prefetch). Also exports a chrome://tracing
  * timeline of a FastGL epoch (/tmp/fastgl_epoch_trace.json).
  */
@@ -14,13 +15,12 @@ namespace {
 
 using namespace fastgl;
 
-core::TimelineConfig
-config_for(const core::FrameworkConfig &fw, double allreduce)
+core::MultiGpuConfig
+config_for(const core::FrameworkConfig &fw)
 {
-    core::TimelineConfig config;
-    config.dedicated_sampler = fw.pipelined_sampling;
-    config.overlap_copy_compute = fw.pipelined_sampling;
-    config.allreduce = allreduce;
+    core::MultiGpuConfig config;
+    config.base.dedicated_sampler = fw.pipelined_sampling;
+    config.base.overlap_copy_compute = fw.pipelined_sampling;
     return config;
 }
 
@@ -52,9 +52,9 @@ main()
         core::Pipeline pipe(ds, opts);
         const auto result = pipe.run_epoch();
 
-        const auto timeline = core::simulate_epoch(
-            pipe.last_epoch_stage_times(),
-            config_for(opts.fw, /*allreduce=*/0.0));
+        const auto timeline = core::simulate_epoch_multi(
+            {core::to_multi_gpu_batches(pipe.last_epoch_stage_times())},
+            config_for(opts.fw));
 
         table.add_row({opts.fw.name,
                        util::TextTable::num(result.epoch_seconds, 4),
@@ -63,12 +63,9 @@ main()
                            result.epoch_seconds / timeline.makespan,
                            3)});
 
-        if (fw == core::Framework::kFastGL) {
-            core::simulate_epoch_to_trace(
-                pipe.last_epoch_stage_times(),
-                config_for(opts.fw, 0.0),
+        if (fw == core::Framework::kFastGL)
+            timeline.schedule.write_chrome_trace(
                 "/tmp/fastgl_epoch_trace.json");
-        }
     }
     table.print();
     std::printf("\nratios near 1.0 validate the closed-form overlap "

@@ -62,6 +62,12 @@ ComputeCostModel::training_step(const ModelConfig &model,
         ++cost.backward_gemm_calls;
         return gemm.seconds;
     };
+    const auto backward_agg = [&](const sample::LayerBlock &block,
+                                  int64_t dim) {
+        cost.backward_agg_edges += block.num_edges();
+        ++cost.backward_agg_calls;
+        return aggregation_cost(block, static_cast<int>(dim)).seconds;
+    };
 
     for (int l = 0; l < model.num_layers; ++l) {
         const auto &block =
@@ -122,18 +128,14 @@ ComputeCostModel::training_step(const ModelConfig &model,
         // each layer) and, for GCN/GIN, its scatter stay charged although
         // the host skips them: see docs/COST_MODEL.md.
         if (model.type == ModelType::kGat) {
-            cost.backward += aggregation_cost(
-                                 block, static_cast<int>(out_dim))
-                                 .seconds;
+            cost.backward += backward_agg(block, out_dim);
             cost.backward +=
                 kernels_.elementwise(edges * model.gat_heads * 3)
                     .seconds;
             cost.backward += backward_gemm(src_rows, in_dim, out_dim);
             cost.backward += backward_gemm(in_dim, out_dim, src_rows);
         } else {
-            cost.backward +=
-                aggregation_cost(block, static_cast<int>(in_dim))
-                    .seconds;
+            cost.backward += backward_agg(block, in_dim);
             cost.backward += backward_gemm(targets, in_dim, out_dim);
             cost.backward += backward_gemm(in_dim, out_dim, targets);
             if (model.type == ModelType::kGin) {

@@ -37,6 +37,8 @@ struct ComputeCost
     /** 2*m*n*k summed over the backward GEMMs charged. */
     double backward_gemm_flops = 0.0;
     int64_t backward_gemm_calls = 0; ///< Backward GEMMs charged.
+    int64_t backward_agg_calls = 0;  ///< Backward aggregations charged.
+    int64_t backward_agg_edges = 0;  ///< Edges of those aggregations.
 
     double total() const { return forward + backward + preprocess; }
 };

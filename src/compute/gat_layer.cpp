@@ -5,6 +5,7 @@
 
 #include "compute/ops.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace fastgl {
 namespace compute {
@@ -101,8 +102,10 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
     });
 
     // Weighted aggregation of projected features, per head:
-    // target-parallel, each target owns its output row.
+    // target-parallel, each target owns its output row. Counted in the
+    // engine's stats as the forward aggregation.
     Tensor out(targets, out_dim());
+    const util::WallTimer agg_timer;
     engine_->parallel_rows(targets, [&](int64_t t0, int64_t t1) {
       for (int64_t t = t0; t < t1; ++t) {
         float *dst = out.data() + t * out_dim();
@@ -118,6 +121,8 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
         }
       }
     });
+    engine_->record_aggregation(block, out_dim(), false,
+                                agg_timer.elapsed_seconds());
     if (apply_elu_)
         elu_forward(out);
     output_ = out;
@@ -164,8 +169,10 @@ GatLayer::backward(const sample::LayerBlock &block,
       }
     });
 
-    // d/d z, aggregation part (source-parallel gather).
+    // d/d z, aggregation part (source-parallel gather), counted in the
+    // engine's stats as the backward aggregation.
     Tensor grad_z(input_rows_, out_dim());
+    const util::WallTimer agg_timer;
     engine_->parallel_rows(rc.num_sources, [&](int64_t v0, int64_t v1) {
       for (int64_t v = v0; v < v1; ++v) {
         float *gz = grad_z.data() + v * out_dim();
@@ -181,6 +188,8 @@ GatLayer::backward(const sample::LayerBlock &block,
         }
       }
     });
+    engine_->record_aggregation(block, out_dim(), true,
+                                agg_timer.elapsed_seconds());
 
     // Softmax + LeakyReLU backward. Pass one (target-parallel) writes
     // the per-edge score gradient gs and the target-keyed grad_sl; pass

@@ -447,19 +447,7 @@ KernelEngine::aggregate_forward(const sample::LayerBlock &block,
         ks.agg_forward_rows(indptr, sources, wts, src0, dim, out0, lo,
                             hi);
     });
-    if (record_stats_) {
-        const int64_t edges = block.num_edges();
-        stats_.agg_seconds += timer.elapsed_seconds();
-        stats_.agg_flops += 2.0 * double(edges) * double(dim);
-        stats_.agg_bytes +=
-            uint64_t(edges) *
-                (uint64_t(dim) * sizeof(float) + sizeof(graph::NodeId) +
-                 sizeof(float)) +
-            uint64_t(block.num_targets()) *
-                (uint64_t(dim) * sizeof(float) + sizeof(graph::EdgeId));
-        stats_.agg_edges += edges;
-        ++stats_.agg_calls;
-    }
+    record_aggregation(block, dim, false, timer.elapsed_seconds());
 }
 
 void
@@ -489,19 +477,36 @@ KernelEngine::aggregate_backward(const sample::LayerBlock &block,
                              rc.edge_targets.data(), wts, gout0, dim,
                              gin0, lo, hi);
     });
-    if (record_stats_) {
-        const int64_t edges = block.num_edges();
-        stats_.agg_seconds += timer.elapsed_seconds();
-        stats_.agg_flops += 2.0 * double(edges) * double(dim);
-        stats_.agg_bytes +=
-            uint64_t(edges) *
-                (uint64_t(dim) * sizeof(float) + sizeof(graph::EdgeId) +
-                 sizeof(graph::NodeId) + sizeof(float)) +
-            uint64_t(rc.num_sources) *
-                (uint64_t(dim) * sizeof(float) + sizeof(graph::EdgeId));
-        stats_.agg_edges += edges;
-        ++stats_.agg_calls;
-    }
+    record_aggregation(block, dim, true, timer.elapsed_seconds());
+}
+
+void
+KernelEngine::record_aggregation(const sample::LayerBlock &block,
+                                 int64_t dim, bool backward,
+                                 double seconds)
+{
+    if (!record_stats_)
+        return;
+    const int64_t edges = block.num_edges();
+    const uint64_t row = uint64_t(dim) * sizeof(float);
+    stats_.agg_seconds += seconds;
+    stats_.agg_flops += 2.0 * double(edges) * double(dim);
+    // Forward: per edge a source row, its ID and weight; per target the
+    // output row and its indptr entry. Backward gathers over the
+    // reverse CSR: per edge a grad row, edge ID, target ID and weight;
+    // per source its row and indptr entry.
+    stats_.agg_bytes +=
+        backward
+            ? uint64_t(edges) * (row + sizeof(graph::EdgeId) +
+                                 sizeof(graph::NodeId) + sizeof(float)) +
+                  uint64_t(block.reverse_csr().num_sources) *
+                      (row + sizeof(graph::EdgeId))
+            : uint64_t(edges) *
+                      (row + sizeof(graph::NodeId) + sizeof(float)) +
+                  uint64_t(block.num_targets()) *
+                      (row + sizeof(graph::EdgeId));
+    stats_.agg_edges += edges;
+    ++stats_.agg_calls;
 }
 
 void

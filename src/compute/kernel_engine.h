@@ -178,6 +178,16 @@ class KernelEngine
                                     std::vector<float> &grad_weights);
 
     /**
+     * Count one aggregation a layer ran in its own loops (GAT's
+     * attention-weighted aggregation) in stats(), exactly as
+     * aggregate_forward (@p backward false) or aggregate_backward
+     * (@p backward true) counts @p block at width @p dim; @p seconds
+     * is the wall time of the layer's loop.
+     */
+    void record_aggregation(const sample::LayerBlock &block, int64_t dim,
+                            bool backward, double seconds);
+
+    /**
      * Run @p fn(begin, end) over [0, count) in contiguous chunks on
      * the pool (or inline when sequential). For callers whose per-row
      * work is race-free — chunk boundaries never affect results.

@@ -20,16 +20,18 @@ using util::kFnvOffset;
 
 /**
  * Symmetric data parallelism on the static list scheduler: each device
- * gets its own sampler/copy/compute resource triple and the exact
- * per-batch dependency structure of core::simulate_epoch. Allreduce
- * stays folded into the compute task's duration (as in the
- * single-device model); the ring barrier is expressed as cross-device
- * dependencies — device d's iteration-i compute waits for every
- * device's iteration-(i-1) folded compute+allreduce task. For
- * symmetric inputs the cross deps finish simultaneously, `max` is
- * exact on doubles, and the single rounding operation (start +
- * duration) is unchanged, so the makespan reproduces the legacy model
- * bit for bit.
+ * gets its own sampler/copy/compute resource triple. Per batch,
+ * sampling waits for the device's previous sample and (unless the
+ * sampler is dedicated) its previous compute; the copy waits for its
+ * sample, the previous copy and (without double buffering) the
+ * previous compute; compute waits for its copy and the previous
+ * compute. Allreduce stays folded into the compute task's duration;
+ * the ring barrier is expressed as cross-device dependencies — device
+ * d's iteration-i compute waits for every device's iteration-(i-1)
+ * folded compute+allreduce task. For symmetric inputs the cross deps
+ * finish simultaneously, `max` is exact on doubles, and the single
+ * rounding operation (start + duration) is unchanged, so N symmetric
+ * devices land on the one-device makespan bit for bit.
  */
 MultiGpuEpochResult
 simulate_symmetric(const std::vector<std::vector<MultiGpuBatch>> &per_device,
@@ -416,9 +418,6 @@ simulate_epoch_multi(const std::vector<std::vector<MultiGpuBatch>> &per_device,
 {
     FASTGL_CHECK(!per_device.empty(),
                  "multi-GPU epoch needs >= 1 device");
-    FASTGL_CHECK(config.num_devices ==
-                     static_cast<int>(per_device.size()),
-                 "config.num_devices must match the batch lists");
     if (config.mode == MultiGpuMode::kSymmetric)
         return simulate_symmetric(per_device, config);
     return simulate_factored(per_device, config, topo);

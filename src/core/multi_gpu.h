@@ -1,19 +1,19 @@
 /**
  * @file
- * Multi-GPU epoch execution over the deterministic device timeline.
- *
- * core::simulate_epoch models one trainer GPU and historically punted
- * on the rest ("data-parallel trainers are symmetric; simulate one and
- * take the max"). This layer generalizes it three ways:
+ * Epoch execution over the deterministic device timeline, on one
+ * device or many. This is the library's one event-driven epoch
+ * scheduler:
  *
  *  - **Symmetric data parallelism, N asymmetric trainers**: every
- *    device runs its own batch list under the usual overlap structure;
- *    a per-iteration ring allreduce synchronizes the trainers on the
+ *    device runs its own batch list under the overlap structure of
+ *    core::TimelineConfig (sample -> copy -> compute per batch); a
+ *    per-iteration ring allreduce synchronizes the trainers on the
  *    shared timeline (ranks block at their next compute launch until
  *    every rank's previous iteration — compute plus allreduce — has
- *    finished). With one device, or symmetric per-device inputs, the
- *    makespan reproduces core::simulate_epoch bit for bit
- *    (regression-tested).
+ *    finished). One device's batch list is the single-trainer epoch;
+ *    its makespan reproduces the historical single-trainer model bit
+ *    for bit (regression-tested against the copy kept in
+ *    tests/reference/legacy_reference.h).
  *  - **Factored mode** (FGNN/GNNLab): some devices run sampling only,
  *    the rest train. Sampled batches cross the sampler->trainer peer
  *    link (sim::PeerTopology) before the trainer's transfer+compute.
@@ -78,11 +78,10 @@ struct MultiGpuConfig
     MultiGpuMode mode = MultiGpuMode::kSymmetric;
     /**
      * Per-device overlap structure and the per-iteration ring-allreduce
-     * seconds (KernelModel::allreduce for the trainer count), exactly
-     * as the single-device simulate_epoch takes them.
+     * seconds (KernelModel::allreduce for the trainer count); one
+     * device pays the allreduce without a cross-device barrier.
      */
     TimelineConfig base;
-    int num_devices = 2;
     /** Factored modes: devices [0, num_samplers) start as samplers. */
     int num_samplers = 1;
     /** Modelled cost of one role flip (context + weights reload). */

@@ -105,7 +105,7 @@ class Pipeline
     /**
      * Per-batch stage durations of trainer GPU 0 from the most recent
      * run_epoch(), for event-driven validation and timeline export
-     * (core::simulate_epoch).
+     * (core::simulate_epoch_multi with this one batch list).
      */
     const std::vector<BatchStageTimes> &
     last_epoch_stage_times() const

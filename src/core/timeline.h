@@ -1,21 +1,17 @@
 /**
  * @file
- * Event-driven epoch timeline: builds a sim::TaskSchedule from per-batch
- * stage durations under a framework's overlap structure (serial DGL/PyG,
- * double-buffered transfer, GNNLab's dedicated sampler GPU, FastGL's
- * topology prefetch), executes it, and optionally exports a
- * chrome://tracing timeline.
+ * Inputs of the event-driven epoch timeline: per-batch stage durations
+ * and a framework's overlap structure (serial DGL/PyG, double-buffered
+ * transfer, GNNLab's dedicated sampler GPU, FastGL's topology
+ * prefetch). core::simulate_epoch_multi (core/multi_gpu.h) builds and
+ * executes the sim::TaskSchedule; one device's batch list is the
+ * single-trainer epoch.
  *
  * The closed-form wall-clock in core::Pipeline and this event-driven
  * makespan must agree — the validation tests and bench_ext_timeline
  * check exactly that.
  */
 #pragma once
-
-#include <string>
-#include <vector>
-
-#include "sim/task_schedule.h"
 
 namespace fastgl {
 namespace core {
@@ -44,28 +40,6 @@ struct TimelineConfig
     /** Per-iteration gradient synchronization appended after compute. */
     double allreduce = 0.0;
 };
-
-/** Outcome of an event-driven epoch execution. */
-struct TimelineResult
-{
-    double makespan = 0.0;
-    sim::TaskSchedule schedule; ///< run() already executed.
-};
-
-/**
- * Build and execute the epoch schedule for one trainer GPU's batch list.
- * (Data-parallel trainers are symmetric; simulate one and take the max.)
- */
-TimelineResult simulate_epoch(const std::vector<BatchStageTimes> &batches,
-                              const TimelineConfig &config);
-
-/**
- * Convenience: simulate and export a chrome trace to @p trace_path.
- * @return makespan; 0 batches yield makespan 0.
- */
-double simulate_epoch_to_trace(
-    const std::vector<BatchStageTimes> &batches,
-    const TimelineConfig &config, const std::string &trace_path);
 
 } // namespace core
 } // namespace fastgl

@@ -25,7 +25,6 @@
 #include "compute/gnn_model.h"
 #include "compute/kernel_engine.h"
 #include "compute/loss.h"
-#include "compute/metrics.h"
 #include "compute/optimizer.h"
 #include "core/async_pipeline.h"
 #include "core/framework_config.h"

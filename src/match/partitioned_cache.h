@@ -44,7 +44,6 @@ enum class RemotePolicy
 };
 
 const char *shard_mode_name(ShardMode mode);
-const char *remote_policy_name(RemotePolicy policy);
 
 /** Hit/miss tallies of one partition (or one aggregate). */
 struct PartitionCacheCounters

@@ -129,15 +129,6 @@ PeerTopology::total_transfers() const
     return total;
 }
 
-double
-PeerTopology::total_seconds() const
-{
-    double total = 0.0;
-    for (const PeerLinkStats &link : links_)
-        total += link.seconds;
-    return total;
-}
-
 void
 PeerTopology::reset()
 {

@@ -106,7 +106,6 @@ class PeerTopology
 
     uint64_t total_bytes() const;
     int64_t total_transfers() const;
-    double total_seconds() const;
 
     void reset();
 

@@ -9,68 +9,41 @@ namespace util {
 
 namespace {
 
-LogLevel g_level = LogLevel::kInfo;
 std::mutex g_mutex;
 
-const char *
-level_name(LogLevel level)
+/** Emit one record tagged @p level ("INFO ", "WARN ", "ERROR"). */
+void
+emit(std::ostream &out, const char *level, const std::string &message)
 {
-    switch (level) {
-      case LogLevel::kDebug: return "DEBUG";
-      case LogLevel::kInfo:  return "INFO ";
-      case LogLevel::kWarn:  return "WARN ";
-      case LogLevel::kError: return "ERROR";
-      default:               return "?????";
-    }
+    std::lock_guard<std::mutex> lock(g_mutex);
+    out << "[fastgl:" << level << "] " << message << '\n';
 }
 
 } // namespace
 
 void
-set_log_level(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-log_level()
-{
-    return g_level;
-}
-
-void
-log_message(LogLevel level, const std::string &message)
-{
-    if (static_cast<int>(level) < static_cast<int>(g_level))
-        return;
-    std::lock_guard<std::mutex> lock(g_mutex);
-    std::ostream &out = (level >= LogLevel::kWarn) ? std::cerr : std::cout;
-    out << "[fastgl:" << level_name(level) << "] " << message << '\n';
-}
-
-void
 inform(const std::string &message)
 {
-    log_message(LogLevel::kInfo, message);
+    emit(std::cout, "INFO ", message);
 }
 
 void
 warn(const std::string &message)
 {
-    log_message(LogLevel::kWarn, message);
+    emit(std::cerr, "WARN ", message);
 }
 
 void
 fatal(const std::string &message)
 {
-    log_message(LogLevel::kError, "fatal: " + message);
+    emit(std::cerr, "ERROR", "fatal: " + message);
     std::exit(1);
 }
 
 void
 panic(const std::string &message)
 {
-    log_message(LogLevel::kError, "panic: " + message);
+    emit(std::cerr, "ERROR", "panic: " + message);
     std::abort();
 }
 

@@ -1,101 +1,19 @@
 /**
  * @file
- * Tests for the graph algorithms (BFS, components, transpose, degree
- * histogram) plus the newer library features: train/val/test splits,
+ * Tests for the library features: train/val/test splits,
  * with-replacement sampling, input dropout, held-out evaluation.
  */
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <set>
 
 #include "core/trainer.h"
-#include "graph/algorithms.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "sample/neighbor_sampler.h"
 
 namespace fastgl {
 namespace {
-
-TEST(Algorithms, BfsDistancesOnRing)
-{
-    // Plain 6-cycle (no chords).
-    graph::CsrGraph g({0, 2, 4, 6, 8, 10, 12},
-                      {1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 0, 4});
-    const auto dist = graph::bfs_distances(g, 0);
-    EXPECT_EQ(dist[0], 0);
-    EXPECT_EQ(dist[1], 1);
-    EXPECT_EQ(dist[5], 1);
-    EXPECT_EQ(dist[2], 2);
-    EXPECT_EQ(dist[3], 3);
-}
-
-TEST(Algorithms, BfsMarksUnreachable)
-{
-    // Two nodes, no edges.
-    graph::CsrGraph g({0, 0, 0}, {});
-    const auto dist = graph::bfs_distances(g, 0);
-    EXPECT_EQ(dist[0], 0);
-    EXPECT_EQ(dist[1], -1);
-}
-
-TEST(Algorithms, ConnectedComponentsCountsIslands)
-{
-    // {0,1} connected, {2} isolated, {3,4} connected.
-    graph::CsrGraph g({0, 1, 2, 2, 3, 4}, {1, 0, 4, 3});
-    const auto cc = graph::connected_components(g);
-    EXPECT_EQ(cc.count, 3);
-    EXPECT_EQ(cc.component_of[0], cc.component_of[1]);
-    EXPECT_EQ(cc.component_of[3], cc.component_of[4]);
-    EXPECT_NE(cc.component_of[0], cc.component_of[2]);
-    EXPECT_EQ(cc.largest_size(), 2);
-}
-
-TEST(Algorithms, GeneratedGraphIsMostlyConnected)
-{
-    graph::PowerLawParams params;
-    params.num_nodes = 2000;
-    params.avg_degree = 8;
-    graph::CsrGraph g = graph::generate_power_law(params);
-    const auto cc = graph::connected_components(g);
-    // The ring backbone guarantees full connectivity.
-    EXPECT_EQ(cc.count, 1);
-}
-
-TEST(Algorithms, ReverseGraphFlipsEdges)
-{
-    // 0 <- 1, 1 <- 2 (CSR rows are in-neighbour lists).
-    graph::CsrGraph g({0, 1, 2, 2}, {1, 2});
-    graph::CsrGraph r = graph::reverse_graph(g);
-    EXPECT_TRUE(r.validate().empty());
-    ASSERT_EQ(r.degree(1), 1);
-    EXPECT_EQ(r.neighbors(1)[0], 0);
-    ASSERT_EQ(r.degree(2), 1);
-    EXPECT_EQ(r.neighbors(2)[0], 1);
-    EXPECT_EQ(r.degree(0), 0);
-}
-
-TEST(Algorithms, ReverseOfSymmetricGraphPreservesDegrees)
-{
-    graph::RmatParams params;
-    params.num_nodes = 500;
-    params.num_edges = 4000;
-    graph::CsrGraph g = graph::generate_rmat(params); // mirrored edges
-    graph::CsrGraph r = graph::reverse_graph(g);
-    for (graph::NodeId u = 0; u < g.num_nodes(); ++u)
-        EXPECT_EQ(g.degree(u), r.degree(u));
-}
-
-TEST(Algorithms, DegreeHistogramSumsToNodeCount)
-{
-    graph::RmatParams params;
-    params.num_nodes = 1000;
-    params.num_edges = 8000;
-    graph::CsrGraph g = graph::generate_rmat(params);
-    const auto hist = graph::degree_histogram(g, 32);
-    EXPECT_EQ(std::accumulate(hist.begin(), hist.end(), int64_t(0)),
-              g.num_nodes());
-}
 
 TEST(Splits, DisjointAndFractionCorrect)
 {

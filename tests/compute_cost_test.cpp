@@ -180,13 +180,15 @@ struct BackwardWork
     int64_t gemm_calls = 0;
     double gemm_flops = 0.0;
     int64_t agg_calls = 0;
+    int64_t agg_edges = 0;
 };
 
 /**
  * What GnnModel::backward runs on the host: per layer the weight
  * gradient GEMM(s) and, except for layer 0, the input-gradient GEMM and
- * (GCN/GIN) the Eq. 5 scatter. GAT's attention backward runs its own
- * loops, not the engine's aggregation. GAT's projection GEMMs run over
+ * (GCN/GIN) the Eq. 5 scatter. GAT's attention backward gathers the
+ * projection gradient over every layer's edges, layer 0 included, and
+ * counts it as one aggregation. GAT's projection GEMMs run over
  * every input row of the layer; with @p cost_model_rows they are sized
  * the way ComputeCostModel sizes them instead, min(subgraph nodes,
  * targets + edges) of the layer's block.
@@ -210,6 +212,7 @@ derived_backward_work(const compute::ModelConfig &cfg,
             work.gemm_calls += input_grad ? 2 : 1;
             work.gemm_flops += (input_grad ? 2 : 1) * 2 * in * targets * out;
             work.agg_calls += input_grad ? 1 : 0;
+            work.agg_edges += input_grad ? block.num_edges() : 0;
             break;
           case compute::ModelType::kGin:
             // Two weight GEMMs, the hidden-gradient GEMM and (l > 0) the
@@ -219,6 +222,7 @@ derived_backward_work(const compute::ModelConfig &cfg,
                                (input_grad ? 2 : 1) * 2 * in * targets *
                                    out;
             work.agg_calls += input_grad ? 1 : 0;
+            work.agg_edges += input_grad ? block.num_edges() : 0;
             break;
           case compute::ModelType::kGat: {
             const double rows =
@@ -230,6 +234,8 @@ derived_backward_work(const compute::ModelConfig &cfg,
                          : double(sg.blocks[layers - l].num_targets());
             work.gemm_calls += input_grad ? 2 : 1;
             work.gemm_flops += (input_grad ? 2 : 1) * 2 * rows * in * out;
+            work.agg_calls += 1;
+            work.agg_edges += block.num_edges();
             break;
           }
         }
@@ -267,6 +273,9 @@ TEST_P(BackwardWorkAccounting, EngineCountsMatchLayerDimsAndCostModel)
     const compute::Tensor x =
         compute::Tensor::randn(sg.num_nodes(), cfg.in_dim, rng, 1.0f);
     const compute::Tensor logits = model.forward(sg, x);
+    // Every model aggregates each layer's block once in the forward.
+    EXPECT_EQ(engine.stats().agg_calls, cfg.num_layers);
+    EXPECT_EQ(engine.stats().agg_edges, sg.total_edges());
     const compute::Tensor grad = compute::Tensor::randn(
         logits.rows(), logits.cols(), rng, 1.0f);
     engine.reset_stats();
@@ -278,6 +287,7 @@ TEST_P(BackwardWorkAccounting, EngineCountsMatchLayerDimsAndCostModel)
     EXPECT_EQ(got.gemm_calls, want.gemm_calls);
     EXPECT_DOUBLE_EQ(got.gemm_flops, want.gemm_flops);
     EXPECT_EQ(got.agg_calls, want.agg_calls);
+    EXPECT_EQ(got.agg_edges, want.agg_edges);
 
     // The cost model charges the same backward GEMMs plus layer 0's
     // input-gradient GEMM, which the host skips; for GAT it also sizes
@@ -298,6 +308,14 @@ TEST_P(BackwardWorkAccounting, EngineCountsMatchLayerDimsAndCostModel)
     const BackwardWork charged =
         derived_backward_work(cfg, model.layer_dims(), sg, true);
     EXPECT_EQ(got.gemm_calls, cost.backward_gemm_calls - 1);
+    // The cost model charges one backward aggregation per layer; GCN
+    // and GIN skip layer 0's scatter on the host, GAT runs all of them.
+    const bool skips_layer0_agg = GetParam() != compute::ModelType::kGat;
+    EXPECT_EQ(got.agg_calls,
+              cost.backward_agg_calls - (skips_layer0_agg ? 1 : 0));
+    EXPECT_EQ(got.agg_edges,
+              cost.backward_agg_edges -
+                  (skips_layer0_agg ? block0.num_edges() : 0));
     EXPECT_DOUBLE_EQ(charged.gemm_flops,
                      cost.backward_gemm_flops - layer0_input_grad);
     if (GetParam() != compute::ModelType::kGat) {

@@ -17,6 +17,7 @@
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
+#include "legacy_reference.h"
 #include "match/feature_cache.h"
 #include "match/partitioned_cache.h"
 #include "serve/load_generator.h"
@@ -201,13 +202,12 @@ TEST(MultiGpuTimeline, SymmetricReproducesLegacyMakespanExactly)
             legacy_cfg.dedicated_sampler = dedicated;
             legacy_cfg.allreduce = 4.2e-4;
             const double legacy =
-                core::simulate_epoch(batches, legacy_cfg).makespan;
+                reference::legacy_epoch_makespan(batches, legacy_cfg);
 
             for (const int devices : {1, 2, 4}) {
                 core::MultiGpuConfig cfg;
                 cfg.mode = core::MultiGpuMode::kSymmetric;
                 cfg.base = legacy_cfg;
-                cfg.num_devices = devices;
                 const std::vector<std::vector<core::MultiGpuBatch>>
                     per_device(size_t(devices),
                                core::to_multi_gpu_batches(batches));
@@ -232,7 +232,6 @@ TEST(MultiGpuTimeline, AsymmetricTrainersBoundedByBarrier)
     core::MultiGpuConfig cfg;
     cfg.mode = core::MultiGpuMode::kSymmetric;
     cfg.base = base;
-    cfg.num_devices = 2;
     // Device 1's batches are 3x slower: the ring barrier must drag
     // device 0 down to (at least) the slow rank's standalone makespan.
     const std::vector<std::vector<core::MultiGpuBatch>> per_device = {
@@ -241,7 +240,9 @@ TEST(MultiGpuTimeline, AsymmetricTrainersBoundedByBarrier)
     };
     const auto result = core::simulate_epoch_multi(per_device, cfg);
     const double slow =
-        core::simulate_epoch(stage_times(20, 3.0), base).makespan;
+        core::simulate_epoch_multi(
+            {core::to_multi_gpu_batches(stage_times(20, 3.0))}, cfg)
+            .makespan;
     EXPECT_GE(result.makespan, slow);
     ASSERT_EQ(result.devices.size(), 2u);
     EXPECT_EQ(result.devices[0].batches_trained, 20);
@@ -254,7 +255,6 @@ TEST(MultiGpuTimeline, FactoredTrainsEveryBatchDeterministically)
     core::MultiGpuConfig cfg;
     cfg.mode = core::MultiGpuMode::kFactored;
     cfg.base.allreduce = 2e-4;
-    cfg.num_devices = 4;
     cfg.num_samplers = 2;
     const std::vector<std::vector<core::MultiGpuBatch>> per_device(
         4, core::to_multi_gpu_batches(stage_times(15)));
@@ -293,7 +293,6 @@ TEST(MultiGpuTimeline, SwitcherRebalancesSampleBoundWork)
         4, core::to_multi_gpu_batches(batches));
     core::MultiGpuConfig cfg;
     cfg.base.allreduce = 1e-4;
-    cfg.num_devices = 4;
     cfg.num_samplers = 1;
 
     cfg.mode = core::MultiGpuMode::kFactored;
@@ -322,7 +321,6 @@ TEST(MultiGpuTimeline, FactoredSwitcherGoldenFingerprint)
     core::MultiGpuConfig cfg;
     cfg.mode = core::MultiGpuMode::kFactoredSwitcher;
     cfg.base.allreduce = 3e-4;
-    cfg.num_devices = 3;
     cfg.num_samplers = 1;
     sim::PeerTopologyOptions popts;
     popts.num_devices = 3;

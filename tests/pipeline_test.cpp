@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "core/framework_config.h"
+#include "core/multi_gpu.h"
 #include "core/pipeline.h"
 #include "graph/datasets.h"
 #include "graph/serialize.h"
@@ -256,8 +257,9 @@ TEST(Pipeline, ExportsStageTimesForTimelineValidation)
     double serial = 0.0;
     for (const auto &s : stages)
         serial += s.sample + s.io + s.compute;
-    core::TimelineConfig config; // no overlap
-    const auto timeline = core::simulate_epoch(stages, config);
+    core::MultiGpuConfig config; // one device, no overlap
+    const auto timeline = core::simulate_epoch_multi(
+        {core::to_multi_gpu_batches(stages)}, config);
     EXPECT_NEAR(timeline.makespan, serial, 1e-12);
     EXPECT_NEAR(timeline.makespan, result.epoch_seconds, 1e-9);
 }

@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "compute/tensor.h"
+#include "core/timeline.h"
 #include "graph/feature_store.h"
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
 #include "sample/minibatch.h"
+#include "sim/task_schedule.h"
 #include "util/fingerprint.h"
 
 namespace fastgl {
@@ -211,6 +213,57 @@ legacy_presample(const std::vector<graph::NodeId> &stream,
     for (graph::NodeId u : stream)
         ++freq[static_cast<size_t>(u)];
     return match::presample_ranking(freq);
+}
+
+
+// ------------------------------------------------------------------
+// The single-trainer epoch timeline that core::simulate_epoch_multi
+// generalised.
+// ------------------------------------------------------------------
+
+/**
+ * The historical one-trainer event-driven epoch: per batch, sample ->
+ * copy -> compute (allreduce folded into compute) on three resources.
+ * core::simulate_epoch_multi must reproduce its makespan bit for bit.
+ */
+inline double
+legacy_epoch_makespan(const std::vector<core::BatchStageTimes> &batches,
+                      const core::TimelineConfig &config)
+{
+    sim::TaskSchedule schedule;
+    const int sampler = schedule.add_resource("sample");
+    const int copy = schedule.add_resource("copy");
+    const int compute = schedule.add_resource("compute");
+
+    int prev_compute = -1;
+    int prev_sample = -1;
+    int prev_copy = -1;
+    for (const core::BatchStageTimes &t : batches) {
+        std::vector<int> sample_deps;
+        if (prev_sample >= 0)
+            sample_deps.push_back(prev_sample);
+        if (!config.dedicated_sampler && prev_compute >= 0)
+            sample_deps.push_back(prev_compute);
+        const int s = schedule.add_task(sampler, t.sample, sample_deps);
+
+        std::vector<int> copy_deps = {s};
+        if (prev_copy >= 0)
+            copy_deps.push_back(prev_copy);
+        if (!config.overlap_copy_compute && prev_compute >= 0)
+            copy_deps.push_back(prev_compute);
+        const int c = schedule.add_task(copy, t.io, copy_deps);
+
+        std::vector<int> compute_deps = {c};
+        if (prev_compute >= 0)
+            compute_deps.push_back(prev_compute);
+        const int k = schedule.add_task(
+            compute, t.compute + config.allreduce, compute_deps);
+
+        prev_sample = s;
+        prev_copy = c;
+        prev_compute = k;
+    }
+    return schedule.run();
 }
 
 } // namespace reference

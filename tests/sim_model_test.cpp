@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the device model: GpuSpec bandwidth math, host transfer, device
- * memory ledger, kernel cost model, roofline.
+ * Tests for the device model: GpuSpec bandwidth math, host transfer,
+ * kernel cost model, roofline.
  */
 #include <gtest/gtest.h>
 
-#include "sim/device_memory.h"
 #include "sim/gpu_spec.h"
 #include "sim/kernel_model.h"
 #include "sim/roofline.h"
@@ -59,38 +58,6 @@ TEST(KernelModel, HostTransferIsLatencyPlusDmaPlusGather)
                          spec.pcie_latency,
                      2.0 * (model.host_transfer(bytes, bytes) -
                             spec.pcie_latency));
-}
-
-TEST(DeviceMemory, LedgerTracksAllocations)
-{
-    sim::DeviceMemory mem(sim::rtx3090());
-    EXPECT_TRUE(mem.allocate("features", 1 << 30));
-    EXPECT_TRUE(mem.allocate("features", 1 << 30));
-    EXPECT_EQ(mem.tag_bytes("features"), 2ull << 30);
-    EXPECT_EQ(mem.used(), 2ull << 30);
-    EXPECT_EQ(mem.remaining(), (24ull - 2) << 30);
-    mem.free_tag("features");
-    EXPECT_EQ(mem.used(), 0u);
-    EXPECT_EQ(mem.peak(), 2ull << 30);
-}
-
-TEST(DeviceMemory, RejectsOverCapacity)
-{
-    sim::DeviceMemory mem(sim::rtx3090());
-    EXPECT_FALSE(mem.allocate("huge", 25ull << 30));
-    EXPECT_EQ(mem.used(), 0u);
-    EXPECT_TRUE(mem.allocate("ok", 20ull << 30));
-    EXPECT_FALSE(mem.allocate("more", 5ull << 30));
-}
-
-TEST(DeviceMemory, ResizeAdjustsExactly)
-{
-    sim::DeviceMemory mem(sim::rtx3090());
-    ASSERT_TRUE(mem.allocate("cache", 4ull << 30));
-    EXPECT_TRUE(mem.resize("cache", 1ull << 30));
-    EXPECT_EQ(mem.used(), 1ull << 30);
-    EXPECT_TRUE(mem.resize("cache", 0));
-    EXPECT_EQ(mem.tag_bytes("cache"), 0u);
 }
 
 TEST(KernelModel, MemoryAwareBeatsNaiveAggregation)

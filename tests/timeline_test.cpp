@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/multi_gpu.h"
 #include "core/timeline.h"
 #include "json_check.h"
 #include "sim/task_schedule.h"
+#include "util/fingerprint.h"
 
 namespace fastgl {
 namespace {
@@ -114,12 +116,23 @@ uniform_batches(int n, double sample, double io, double compute)
         size_t(n), core::BatchStageTimes{sample, io, compute});
 }
 
+/** The single-trainer epoch: simulate_epoch_multi on one batch list. */
+core::MultiGpuEpochResult
+simulate_one(const std::vector<core::BatchStageTimes> &batches,
+             const core::TimelineConfig &config)
+{
+    core::MultiGpuConfig cfg;
+    cfg.base = config;
+    return core::simulate_epoch_multi(
+        {core::to_multi_gpu_batches(batches)}, cfg);
+}
+
 TEST(Timeline, SerialFrameworkMakespanIsTheSum)
 {
     // DGL/PyG: no overlap -> makespan == n * (s + io + c).
     const auto batches = uniform_batches(8, 1.0, 2.0, 3.0);
     core::TimelineConfig config; // all overlap off
-    const auto result = core::simulate_epoch(batches, config);
+    const auto result = simulate_one(batches, config);
     EXPECT_DOUBLE_EQ(result.makespan, 8.0 * 6.0);
 }
 
@@ -131,7 +144,7 @@ TEST(Timeline, DoubleBufferingHidesTransfers)
     core::TimelineConfig config;
     config.overlap_copy_compute = true;
     config.dedicated_sampler = true;
-    const auto result = core::simulate_epoch(batches, config);
+    const auto result = simulate_one(batches, config);
     EXPECT_NEAR(result.makespan, 0.5 + 1.0 + 10 * 3.0, 1e-9);
     // Strictly better than serial.
     EXPECT_LT(result.makespan, 10 * 4.5);
@@ -144,7 +157,7 @@ TEST(Timeline, BottleneckStagePacesThePipeline)
     core::TimelineConfig config;
     config.overlap_copy_compute = true;
     config.dedicated_sampler = true;
-    const auto result = core::simulate_epoch(batches, config);
+    const auto result = simulate_one(batches, config);
     EXPECT_NEAR(result.makespan, 0.2 + 10 * 5.0 + 1.0, 1e-9);
 }
 
@@ -153,12 +166,12 @@ TEST(Timeline, DedicatedSamplerHidesSampling)
     const auto slow_sample = uniform_batches(10, 2.0, 0.5, 2.0);
     core::TimelineConfig on_device; // sampling serializes with compute
     const double serialized =
-        core::simulate_epoch(slow_sample, on_device).makespan;
+        simulate_one(slow_sample, on_device).makespan;
     core::TimelineConfig dedicated;
     dedicated.dedicated_sampler = true;
     dedicated.overlap_copy_compute = true;
     const double hidden =
-        core::simulate_epoch(slow_sample, dedicated).makespan;
+        simulate_one(slow_sample, dedicated).makespan;
     EXPECT_LT(hidden, serialized);
     // Sampling (2.0/batch) matches compute (2.0/batch): compute-paced.
     EXPECT_NEAR(hidden, 2.0 + 0.5 + 10 * 2.0, 1e-9);
@@ -169,16 +182,29 @@ TEST(Timeline, AllreduceExtendsEveryIteration)
     const auto batches = uniform_batches(5, 1.0, 1.0, 1.0);
     core::TimelineConfig config;
     config.allreduce = 0.5;
-    const auto with = core::simulate_epoch(batches, config).makespan;
+    const auto with = simulate_one(batches, config).makespan;
     config.allreduce = 0.0;
-    const auto without = core::simulate_epoch(batches, config).makespan;
+    const auto without = simulate_one(batches, config).makespan;
     EXPECT_DOUBLE_EQ(with - without, 5 * 0.5);
 }
 
 TEST(Timeline, EmptyEpochIsZero)
 {
     core::TimelineConfig config;
-    EXPECT_DOUBLE_EQ(core::simulate_epoch({}, config).makespan, 0.0);
+    EXPECT_DOUBLE_EQ(simulate_one({}, config).makespan, 0.0);
+}
+
+TEST(Timeline, EmptyOneDeviceListHasDefinedFingerprint)
+{
+    const auto result = simulate_one({}, core::TimelineConfig{});
+    EXPECT_EQ(result.makespan, 0.0);
+    // The digest of one device that ran no task and finished at 0.
+    EXPECT_EQ(result.fingerprint,
+              util::fnv(util::fnv(util::kFnvOffset, 1),
+                        util::double_bits(0.0)));
+    ASSERT_EQ(result.devices.size(), 1u);
+    EXPECT_EQ(result.devices[0].batches_trained, 0);
+    EXPECT_EQ(result.devices[0].busy_seconds, 0.0);
 }
 
 TEST(Timeline, TraceFileWritten)
@@ -187,9 +213,9 @@ TEST(Timeline, TraceFileWritten)
     core::TimelineConfig config;
     config.overlap_copy_compute = true;
     const std::string path = "/tmp/fastgl_epoch_trace.json";
-    const double makespan =
-        core::simulate_epoch_to_trace(batches, config, path);
-    EXPECT_GT(makespan, 0.0);
+    const auto result = simulate_one(batches, config);
+    result.schedule.write_chrome_trace(path);
+    EXPECT_GT(result.makespan, 0.0);
     std::ifstream in(path);
     EXPECT_TRUE(in.good());
     std::remove(path.c_str());

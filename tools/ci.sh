@@ -5,7 +5,7 @@
 # "fails" forever even though the tree is fine.
 #
 # Usage:
-#   tools/ci.sh   # warnings-as-errors build (src/ and tests/) + full
+#   tools/ci.sh   # warnings-as-errors build (every target) + full
 #                 # ctest, then the full ctest again under
 #                 # AddressSanitizer + UBSan and under ThreadSanitizer
 #
@@ -24,7 +24,7 @@ run_config() {
     cmake --build "$dir" -j "$JOBS"
 }
 
-echo "==> primary configuration (src/ and tests/ built with -Werror)"
+echo "==> primary configuration (every target built with -Werror)"
 run_config build-ci -DFASTGL_WERROR=ON
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
