@@ -84,16 +84,13 @@ struct MultiGpuConfig
     TimelineConfig base;
     /** Factored modes: devices [0, num_samplers) start as samplers. */
     int num_samplers = 1;
-    /** Modelled cost of one role flip (context + weights reload). */
-    double switch_latency = 2e-3;
     /**
-     * Ready-queue depth at which a free sampler flips to training
-     * (switcher mode); 0 derives 2x the current trainer count.
+     * Modelled cost of one role flip (context + weights reload). The
+     * switcher flips a free sampler to training once the ready queue
+     * holds 2x the current trainer count, and one device flips at most
+     * once per 8x this latency (hysteresis against ping-pong).
      */
-    int queue_high_watermark = 0;
-    /** Minimum virtual seconds between flips of one device; 0 derives
-     *  8x switch_latency (hysteresis against ping-pong). */
-    double switch_cooldown = 0.0;
+    double switch_latency = 2e-3;
 };
 
 /** Per-device outcome of one multi-GPU epoch. */

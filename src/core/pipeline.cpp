@@ -1,14 +1,26 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <utility>
 
 #include "match/reorder.h"
 #include "sample/frequency_hashmap.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace fastgl {
 namespace core {
+
+namespace {
+
+/** Per-hop latency of the inter-machine gradient ring. */
+constexpr double kNetworkLatency = 20e-6;
+
+} // namespace
 
 uint64_t
 model_param_bytes(const compute::ModelConfig &config)
@@ -53,13 +65,11 @@ Pipeline::Pipeline(const graph::Dataset &dataset, PipelineOptions opts,
       opts_(std::move(opts)),
       spec_(std::move(spec)),
       kernels_(spec_),
-      cost_model_(spec_, opts_.fw.compute_plan, opts_.l1_hit,
-                  opts_.l2_hit),
+      cost_model_(spec_, opts_.fw.compute_plan),
       splitter_(dataset.train_nodes,
                 opts_.batch_size > 0 ? opts_.batch_size
                                      : dataset.batch_size,
-                opts_.seed),
-      sampler_(*this)
+                opts_.seed)
 {
     // Resolve model shape from the dataset when unset.
     if (opts_.model.in_dim == 0)
@@ -92,6 +102,9 @@ Pipeline::build_cache()
 {
     const graph::NodeId n = dataset_.graph.num_nodes();
     const uint64_t row_bytes = dataset_.features.row_bytes();
+    // Presampling uses epoch 0; training epochs start at 1, so the
+    // cache build never shares an RNG stream with them.
+    ThreadSampler sampler(*this);
 
     if (opts_.cache_ratio >= 0.0) {
         cache_rows_ = std::min<int64_t>(
@@ -105,7 +118,7 @@ Pipeline::build_cache()
             double(spec_.global_bytes) * dataset_.scale;
         // Baseline residents: parameters (+grads, +Adam moments), double-
         // buffered batch features and activations, topology, workspace.
-        sample::SampledSubgraph probe = sample_batch(0, 0);
+        sample::SampledSubgraph probe = sampler.sample(*this, 0, 0);
         const double features =
             double(probe.num_nodes()) * double(row_bytes);
         double activations = 0.0;
@@ -143,12 +156,8 @@ Pipeline::build_cache()
             std::min<int64_t>(4, splitter_.num_batches());
         sample::FrequencyHashmap freq(
             static_cast<size_t>(presample * splitter_.batch_size()));
-        for (int64_t b = 0; b < presample; ++b) {
-            // Presampling uses epoch 0; training epochs start at 1, so
-            // the cache build never shares an RNG stream with them.
-            sample::SampledSubgraph sg = sample_batch(0, b);
-            freq.add_stream(sg.nodes);
-        }
+        for (int64_t b = 0; b < presample; ++b)
+            freq.add_stream(sampler.sample(*this, 0, b).nodes);
         ranking =
             match::presample_ranking(freq.uniques(), freq.counts(), n);
     }
@@ -160,12 +169,6 @@ Pipeline::batch_seed(int64_t epoch, int64_t index) const
 {
     return util::derive_seed(opts_.seed, static_cast<uint64_t>(epoch),
                              static_cast<uint64_t>(index));
-}
-
-sample::SampledSubgraph
-Pipeline::sample_batch(int64_t epoch, int64_t index)
-{
-    return sampler_.sample(*this, epoch, index);
 }
 
 Pipeline::ThreadSampler::ThreadSampler(const Pipeline &pipe)
@@ -283,15 +286,6 @@ Pipeline::compute_time(const sample::SampledSubgraph &sg) const
     return cost_model_.training_step(opts_.model, sg).total();
 }
 
-Pipeline::BatchRecord
-Pipeline::process_batch(const sample::SampledSubgraph &sg,
-                        match::Matcher &matcher) const
-{
-    BatchRecord rec = plan_transfer(sg, matcher);
-    rec.compute = compute_time(sg);
-    return rec;
-}
-
 Pipeline::EpochPlan
 Pipeline::plan_epoch()
 {
@@ -363,35 +357,344 @@ Pipeline::window_order(
 EpochResult
 Pipeline::run_epoch()
 {
+    stats_ = EpochHostStats{};
+    const util::WallTimer wall;
+    const ExecutorOptions &exec = opts_.executor;
+
     const EpochPlan plan = plan_epoch();
     const int total = static_cast<int>(plan.per_gpu.size());
-    const int64_t window = plan.window;
+    const int64_t epoch = epoch_;
+    const int sampler_threads = std::max(1, exec.sampler_threads);
+    const int gather_threads = std::max(
+        1, exec.gather_threads > 0 ? exec.gather_threads
+                                   : std::min(total, 4));
+    const int compute_threads = std::max(1, exec.compute_threads);
+
+    // Flattened window list; producers claim entries via an atomic
+    // cursor, so work distribution over threads is dynamic while the
+    // windows' *contents* stay thread-independent (per-batch seeds).
+    struct WindowRef
+    {
+        int gpu = 0;
+        size_t index = 0; ///< Window sequence number within its GPU.
+        size_t begin = 0; ///< First batch position in per_gpu[gpu].
+        size_t end = 0;   ///< One past the last batch position.
+    };
+    std::vector<WindowRef> windows;
+    for (int g = 0; g < total; ++g) {
+        const size_t count = plan.per_gpu[static_cast<size_t>(g)].size();
+        size_t index = 0;
+        for (size_t w = 0; w < count;
+             w += static_cast<size_t>(plan.window), ++index) {
+            const size_t end =
+                std::min(count, w + static_cast<size_t>(plan.window));
+            windows.push_back({g, index, w, end});
+        }
+    }
+
+    struct WindowItem
+    {
+        WindowRef ref;
+        std::vector<sample::SampledSubgraph> subgraphs;
+    };
+    struct ComputeItem
+    {
+        int gpu = 0;
+        size_t position = 0; ///< Destination index in records[gpu].
+        int64_t batch_id = 0;
+        BatchRecord record;
+        sample::SampledSubgraph sg;
+    };
 
     std::vector<std::vector<BatchRecord>> records(
         static_cast<size_t>(total));
-
+    std::vector<std::vector<char>> filled(static_cast<size_t>(total));
     for (int g = 0; g < total; ++g) {
+        const size_t count = plan.per_gpu[static_cast<size_t>(g)].size();
+        records[static_cast<size_t>(g)].assign(count, BatchRecord{});
+        filled[static_cast<size_t>(g)].assign(count, 0);
+    }
+
+    util::BoundedQueue<WindowItem> batch_queue(exec.queue_depth);
+    util::BoundedQueue<ComputeItem> compute_queue(std::max<size_t>(
+        1, exec.queue_depth * static_cast<size_t>(plan.window)));
+    shutdown_.begin_run([&batch_queue, &compute_queue] {
+        batch_queue.close();
+        compute_queue.close();
+    });
+
+    std::mutex error_mu;
+    std::exception_ptr first_error;
+    auto fail = [&](std::exception_ptr error) {
+        {
+            std::lock_guard<std::mutex> lock(error_mu);
+            if (!first_error)
+                first_error = error;
+        }
+        batch_queue.fail(error);
+        compute_queue.fail(error);
+    };
+
+    // Per-GPU sequencer: gather consumers may receive windows out of
+    // order (any thread can pop any item), but the Match/Reorder chain
+    // is stateful per GPU, so windows are put back into sequence and
+    // processed under the GPU's lock. That fixed order is what keeps
+    // the modelled numbers bit-identical at any thread count.
+    struct GpuState
+    {
+        std::mutex mu;
+        size_t next_window = 0;
+        /**
+         * Reassembly ring indexed by window sequence number modulo its
+         * capacity (no per-window node allocations). It is seeded with
+         * room for the usual number of in-flight windows — one per
+         * producer thread (claimed, not yet pushed), queue_depth in the
+         * batch queue, one per gather thread (popped, waiting on this
+         * lock) — but that count is an estimate, not a bound: windows
+         * already *parked* here also widen index - next_window, and
+         * when the window at next_window samples slowly (e.g.
+         * high-degree seeds) the other producers keep claiming later
+         * windows with no backpressure. grow() re-homes parked windows
+         * into a larger ring in that rare case, so the common path
+         * stays allocation-free.
+         */
+        std::vector<WindowItem> ring;
+        std::vector<char> occupied;
         match::Matcher matcher;
-        const auto &batches = plan.per_gpu[static_cast<size_t>(g)];
-        for (size_t w = 0; w < batches.size();
-             w += static_cast<size_t>(window)) {
-            const size_t end = std::min(
-                batches.size(), w + static_cast<size_t>(window));
 
-            // Sample the window up front (paper Fig. 5: the Map-Fused
-            // Sampler produces n mini-batches before Reorder runs).
-            std::vector<sample::SampledSubgraph> subgraphs;
-            subgraphs.reserve(end - w);
-            for (size_t i = w; i < end; ++i)
-                subgraphs.push_back(sample_batch(epoch_, batches[i]));
-
-            for (size_t i : window_order(matcher, subgraphs)) {
-                records[static_cast<size_t>(g)].push_back(
-                    process_batch(subgraphs[i], matcher));
+        /** Double the ring until @p min_cap fits; caller holds mu. */
+        void grow(size_t min_cap)
+        {
+            size_t cap = ring.size();
+            while (cap < min_cap)
+                cap *= 2;
+            std::vector<WindowItem> bigger(cap);
+            std::vector<char> parked(cap, 0);
+            for (size_t i = 0; i < ring.size(); ++i) {
+                if (!occupied[i])
+                    continue;
+                const size_t slot = ring[i].ref.index % cap;
+                bigger[slot] = std::move(ring[i]);
+                parked[slot] = 1;
             }
+            ring.swap(bigger);
+            occupied.swap(parked);
+        }
+    };
+    std::vector<GpuState> gpus(static_cast<size_t>(total));
+    // Common-case capacity; GpuState::grow() covers the overflow case.
+    const size_t initial_ring_cap = exec.queue_depth +
+                                    static_cast<size_t>(sampler_threads) +
+                                    static_cast<size_t>(gather_threads) + 1;
+    for (GpuState &state : gpus) {
+        state.ring.resize(initial_ring_cap);
+        state.occupied.assign(initial_ring_cap, 0);
+    }
+
+    std::atomic<size_t> window_cursor{0};
+    std::atomic<int64_t> windows_produced{0};
+    std::atomic<int64_t> batches_completed{0};
+    std::mutex busy_mu;
+
+    auto producer = [&] {
+        double busy = 0.0;
+        try {
+            ThreadSampler sampler(*this);
+            for (;;) {
+                if (shutdown_.stop_requested())
+                    break;
+                const size_t wi = window_cursor.fetch_add(
+                    1, std::memory_order_relaxed);
+                if (wi >= windows.size())
+                    break;
+                const WindowRef &ref = windows[wi];
+                const auto &batches =
+                    plan.per_gpu[static_cast<size_t>(ref.gpu)];
+                WindowItem item;
+                item.ref = ref;
+                item.subgraphs.reserve(ref.end - ref.begin);
+                const util::WallTimer timer;
+                // Sample the window up front (paper Fig. 5: the
+                // Map-Fused Sampler produces n mini-batches before
+                // Reorder runs).
+                for (size_t i = ref.begin; i < ref.end; ++i) {
+                    if (exec.sample_hook)
+                        exec.sample_hook(batches[i]);
+                    item.subgraphs.push_back(
+                        sampler.sample(*this, epoch, batches[i]));
+                }
+                busy += timer.elapsed_seconds();
+                if (!batch_queue.push(std::move(item)))
+                    break; // closed (stop) or failed
+                windows_produced.fetch_add(1, std::memory_order_relaxed);
+            }
+        } catch (...) {
+            fail(std::current_exception());
+        }
+        std::lock_guard<std::mutex> lock(busy_mu);
+        stats_.sample_busy_seconds += busy;
+    };
+
+    auto gather = [&] {
+        double busy = 0.0;
+        try {
+            for (;;) {
+                std::optional<WindowItem> item = batch_queue.pop();
+                if (!item)
+                    break; // closed and drained
+                GpuState &state =
+                    gpus[static_cast<size_t>(item->ref.gpu)];
+                std::lock_guard<std::mutex> lock(state.mu);
+                const size_t index = item->ref.index;
+                FASTGL_CHECK(index >= state.next_window,
+                             "window sequence number regressed");
+                if (index - state.next_window >= state.ring.size())
+                    state.grow(index - state.next_window + 1);
+                const size_t cap = state.ring.size();
+                const size_t slot = index % cap;
+                state.ring[slot] = std::move(*item);
+                state.occupied[slot] = 1;
+                while (state.occupied[state.next_window % cap]) {
+                    const size_t head = state.next_window % cap;
+                    WindowItem window = std::move(state.ring[head]);
+                    state.ring[head] = WindowItem{};
+                    state.occupied[head] = 0;
+                    ++state.next_window;
+
+                    const util::WallTimer timer;
+                    const std::vector<size_t> order =
+                        window_order(state.matcher, window.subgraphs);
+                    bool queue_open = true;
+                    for (size_t k = 0; k < order.size(); ++k) {
+                        sample::SampledSubgraph &sg =
+                            window.subgraphs[order[k]];
+                        ComputeItem ci;
+                        ci.gpu = window.ref.gpu;
+                        ci.position = window.ref.begin + k;
+                        ci.batch_id =
+                            plan.per_gpu[static_cast<size_t>(
+                                window.ref.gpu)][ci.position];
+                        ci.record = plan_transfer(sg, state.matcher);
+                        ci.sg = std::move(sg);
+                        if (!compute_queue.push(std::move(ci))) {
+                            queue_open = false;
+                            break;
+                        }
+                    }
+                    busy += timer.elapsed_seconds();
+                    if (exec.gather_hook)
+                        exec.gather_hook(window.ref.gpu);
+                    if (!queue_open)
+                        break;
+                }
+            }
+        } catch (...) {
+            fail(std::current_exception());
+        }
+        std::lock_guard<std::mutex> lock(busy_mu);
+        stats_.gather_busy_seconds += busy;
+    };
+
+    auto compute = [&] {
+        double busy = 0.0;
+        try {
+            for (;;) {
+                std::optional<ComputeItem> item = compute_queue.pop();
+                if (!item)
+                    break;
+                if (exec.compute_hook)
+                    exec.compute_hook(item->batch_id);
+                const util::WallTimer timer;
+                item->record.compute = compute_time(item->sg);
+                records[static_cast<size_t>(item->gpu)][item->position] =
+                    item->record;
+                filled[static_cast<size_t>(item->gpu)][item->position] =
+                    1;
+                busy += timer.elapsed_seconds();
+                batches_completed.fetch_add(1,
+                                            std::memory_order_relaxed);
+            }
+        } catch (...) {
+            fail(std::current_exception());
+        }
+        std::lock_guard<std::mutex> lock(busy_mu);
+        stats_.compute_busy_seconds += busy;
+    };
+
+    std::vector<std::thread> samplers, gatherers, computers;
+    for (int i = 0; i < sampler_threads; ++i)
+        samplers.emplace_back(producer);
+    for (int i = 0; i < gather_threads; ++i)
+        gatherers.emplace_back(gather);
+    for (int i = 0; i < compute_threads; ++i)
+        computers.emplace_back(compute);
+
+    for (auto &t : samplers)
+        t.join();
+    batch_queue.close();
+    for (auto &t : gatherers)
+        t.join();
+    compute_queue.close();
+    for (auto &t : computers)
+        t.join();
+    stats_.wall_seconds = wall.elapsed_seconds();
+    stats_.windows_produced = windows_produced.load();
+    stats_.batches_completed = batches_completed.load();
+    stats_.stopped_early = shutdown_.stop_requested();
+    shutdown_.end_run();
+    stats_.batch_queue = batch_queue.stats();
+    stats_.compute_queue = compute_queue.stats();
+
+    {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error)
+            std::rethrow_exception(first_error);
+    }
+
+    if (stats_.stopped_early) {
+        // Keep only each GPU's completed prefix so the partial result
+        // aggregates real records (positions are filled out of order by
+        // the compute drain).
+        for (int g = 0; g < total; ++g) {
+            size_t done = 0;
+            const auto &flags = filled[static_cast<size_t>(g)];
+            while (done < flags.size() && flags[done])
+                ++done;
+            records[static_cast<size_t>(g)].resize(done);
         }
     }
+
+    profile_epoch(records);
     return finalize_epoch(records, plan.num_batches);
+}
+
+void
+Pipeline::profile_epoch(
+    const std::vector<std::vector<BatchRecord>> &records) const
+{
+    // Strictly post-join, replayed from the per-position record array in
+    // (gpu, position) order — the same modelled phases whatever the
+    // thread counts were, so the profile is as deterministic as the
+    // EpochResult. Each GPU gets its own virtual sampler -> gather ->
+    // compute chain; the gather stage carries the *exposed* transfer
+    // time (io minus the part FastGL's topology prefetch hid behind
+    // compute).
+    prof::Profiler *profiler = opts_.executor.profiler;
+    if (!profiler || !profiler->enabled())
+        return;
+    double makespan = 0.0;
+    for (size_t g = 0; g < records.size(); ++g) {
+        prof::StageReplay replay(*profiler, static_cast<int>(g));
+        for (const BatchRecord &rec : records[g])
+            replay.add({.sample = rec.sample,
+                        .id_map = rec.id_map,
+                        .io = rec.io - rec.io_overlapped,
+                        .compute = rec.compute,
+                        .items = rec.instances,
+                        .rows = rec.uniques});
+        makespan = std::max(makespan, replay.makespan());
+    }
+    profiler->set_makespan(makespan);
 }
 
 EpochResult
@@ -426,7 +729,7 @@ Pipeline::finalize_epoch(
         allreduce_time +=
             2.0 * double(param_bytes_) * double(machines - 1) /
                 double(machines) / opts_.network_bw +
-            2.0 * double(machines - 1) * opts_.network_latency;
+            2.0 * double(machines - 1) * kNetworkLatency;
     }
 
     for (size_t it = 0; it < max_iters; ++it) {

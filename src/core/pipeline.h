@@ -7,10 +7,22 @@
  * This is the engine behind every end-to-end figure in the paper (Figs. 3,
  * 9, 10, 13, 14, 15): the sampling, hashing, matching and caching all
  * really execute; the seconds come from sim::KernelModel.
+ *
+ * An epoch runs as an overlapped stage graph — sampler threads, a
+ * per-GPU gather/sequencer stage and a compute stage connected by
+ * bounded queues (util::BoundedQueue) — the paper's Reorder-window
+ * overlap (Fig. 5) executed with real threads. Two clocks coexist:
+ *  - the *modelled* clock (EpochResult seconds) is the same bit for bit
+ *    at any thread count: every batch samples from its own derived RNG
+ *    stream (util::derive_seed) and each GPU's Match/Reorder chain is
+ *    replayed in window order by a sequencer;
+ *  - the *host* clock (EpochHostStats) shows the overlap: sampling of
+ *    window w+1 proceeds while window w is matched and costed.
  */
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,16 +35,55 @@
 #include "graph/datasets.h"
 #include "match/feature_cache.h"
 #include "match/match.h"
+#include "prof/profiler.h"
 #include "sample/batch_splitter.h"
 #include "sample/neighbor_sampler.h"
 #include "sample/random_walk_sampler.h"
 #include "sim/gpu_spec.h"
+#include "util/bounded_queue.h"
+#include "util/shutdown.h"
 #include "util/thread_pool.h"
 
 namespace fastgl {
 namespace core {
 
-class AsyncPipeline;
+/**
+ * Concurrency of the epoch executor, plus observation and test hooks.
+ * Nothing here changes a modelled number.
+ */
+struct ExecutorOptions
+{
+    /** Sampler producer threads (clamped to >= 1). */
+    int sampler_threads = 2;
+    /** Gather/sequencer threads; 0 = min(trainer GPUs, 4). */
+    int gather_threads = 0;
+    /** Compute drain threads (clamped to >= 1). */
+    int compute_threads = 1;
+    /**
+     * Windows in flight between the sample and gather stages. Producers
+     * block once this many windows are queued (backpressure): a slow
+     * consumer throttles sampling instead of buffering the whole epoch.
+     */
+    size_t queue_depth = 4;
+    /**
+     * Optional per-stage recorder (caller-owned, may be null). The
+     * epoch's per-batch modelled phases are fed into it *after* the
+     * join, replayed in (gpu, position) order — never from the
+     * concurrent drains, whose completion order varies with thread
+     * count — so the feed is the same at any width and the EpochResult
+     * is untouched. Successive epochs accumulate unless the caller
+     * resets the profiler between them.
+     */
+    prof::Profiler *profiler = nullptr;
+
+    // --- Test hooks (no-ops when unset; not for production use) ---
+    /** Called in a producer thread before sampling batch @p index. */
+    std::function<void(int64_t index)> sample_hook;
+    /** Called in a gather thread after matching a window on @p gpu. */
+    std::function<void(int gpu)> gather_hook;
+    /** Called in a compute thread before costing batch @p index. */
+    std::function<void(int64_t index)> compute_hook;
+};
 
 /** Everything configurable about one pipeline run. */
 struct PipelineOptions
@@ -54,9 +105,6 @@ struct PipelineOptions
     int64_t max_batches = 0;     ///< Cap batches per epoch (0 = all).
     int64_t batch_size = 0;      ///< 0 = dataset default.
     uint64_t seed = 1;
-    /** Naive-kernel cache hit rates driving the compute model. */
-    double l1_hit = 0.045;
-    double l2_hit = 0.196;
     /** Use the PinSAGE random-walk sampler instead of k-hop (Table 7). */
     bool use_random_walk = false;
     sample::RandomWalkOptions walk;
@@ -66,11 +114,42 @@ struct PipelineOptions
     int num_machines = 1;
     /** Inter-machine network bandwidth (default 100 Gb/s Ethernet). */
     double network_bw = 12.5e9;
-    /** Per-hop network latency for the inter-machine ring. */
-    double network_latency = 20e-6;
+
+    /** Host threads of run_epoch(); results are the same at any width. */
+    ExecutorOptions executor;
 };
 
-/** Runs epochs for one dataset under one framework configuration. */
+/** Measured (host) execution statistics of one epoch. */
+struct EpochHostStats
+{
+    /** Host wall-clock seconds of run_epoch(). */
+    double wall_seconds = 0.0;
+    /** Summed busy seconds per stage (excludes queue blocking). */
+    double sample_busy_seconds = 0.0;
+    double gather_busy_seconds = 0.0;
+    double compute_busy_seconds = 0.0;
+    int64_t windows_produced = 0;
+    int64_t batches_completed = 0;
+    /** True when request_stop() cut the epoch short. */
+    bool stopped_early = false;
+    util::QueueStats batch_queue;
+    util::QueueStats compute_queue;
+};
+
+/**
+ * Runs epochs for one dataset under one framework configuration.
+ *
+ * Stage graph of run_epoch() (arrows are BoundedQueues):
+ *
+ *   sampler threads ──windows──> gather/sequencer ──batches──> compute
+ *   (per-thread sampler,          (per-GPU in-order:            (cost
+ *    per-batch RNG stream)         Reorder + Match + cache)      model)
+ *
+ * An exception thrown in any stage fails both queues, winds every thread
+ * down, and is rethrown from run_epoch(). request_stop() closes the
+ * queues for a clean mid-epoch shutdown; run_epoch() then returns the
+ * partial result and last_stats().stopped_early is set.
+ */
 class Pipeline
 {
   public:
@@ -79,6 +158,19 @@ class Pipeline
 
     /** Run one modelled epoch (shuffles batches first). */
     EpochResult run_epoch();
+
+    /**
+     * Ask a running epoch to shut down cleanly: queues are closed,
+     * stages finish their current item and exit, run_epoch() returns
+     * the partial result. Safe to call from any thread; idempotent.
+     */
+    void request_stop() { shutdown_.request_stop(); }
+
+    /** True once request_stop() was called for the current epoch. */
+    bool stop_requested() const { return shutdown_.stop_requested(); }
+
+    /** Measured host-side statistics of the most recent epoch. */
+    const EpochHostStats &last_stats() const { return stats_; }
 
     const PipelineOptions &options() const { return opts_; }
     const sim::GpuSpec &gpu() const { return spec_; }
@@ -114,13 +206,6 @@ class Pipeline
     }
 
   private:
-    /**
-     * The overlapped executor reuses the private per-batch machinery so
-     * its modelled numbers are produced by exactly the code path the
-     * sequential executor runs (the bit-identical guarantee).
-     */
-    friend class AsyncPipeline;
-
     struct BatchRecord
     {
         double sample = 0.0;
@@ -137,7 +222,7 @@ class Pipeline
         int64_t uniques = 0;
     };
 
-    /** One epoch's work assignment, shared by both executors. */
+    /** One epoch's work assignment. */
     struct EpochPlan
     {
         int64_t num_batches = 0;
@@ -148,16 +233,17 @@ class Pipeline
     };
 
     /**
-     * Per-thread sampler clone for concurrent producers. Instances are
-     * not shareable across threads, but any instance yields identical
-     * output for the same (epoch, index) because sampling draws from a
-     * per-batch derived RNG stream.
+     * Per-thread sampler for concurrent producers. Instances are not
+     * shareable across threads, but any instance yields identical
+     * output for the same (epoch, index): batch @p index of epoch
+     * @p epoch draws from its own derived RNG stream, not in
+     * shared-generator order, so the result is independent of sampling
+     * order and thread placement.
      */
     struct ThreadSampler
     {
         explicit ThreadSampler(const Pipeline &pipe);
 
-        /** Identical output to pipe.sample_batch(epoch, index). */
         sample::SampledSubgraph sample(const Pipeline &pipe,
                                        int64_t epoch, int64_t index);
 
@@ -170,13 +256,6 @@ class Pipeline
 
     /** RNG stream seed of batch @p index in epoch @p epoch. */
     uint64_t batch_seed(int64_t epoch, int64_t index) const;
-
-    /**
-     * Sample batch @p index of epoch @p epoch. Each batch draws from its
-     * own derived RNG stream (not shared-generator order), so the result
-     * is independent of sampling order and thread placement.
-     */
-    sample::SampledSubgraph sample_batch(int64_t epoch, int64_t index);
 
     /** Reorder decision for one window against the resident batch. */
     std::vector<size_t> window_order(
@@ -195,9 +274,9 @@ class Pipeline
     /** Modelled compute seconds of one batch (pure). */
     double compute_time(const sample::SampledSubgraph &sg) const;
 
-    /** plan_transfer + compute_time in one step (sequential path). */
-    BatchRecord process_batch(const sample::SampledSubgraph &sg,
-                              match::Matcher &matcher) const;
+    /** Feed the epoch's per-batch phases to executor.profiler. */
+    void profile_epoch(
+        const std::vector<std::vector<BatchRecord>> &records) const;
 
     /** Aggregate per-GPU records into the epoch result (work + wall). */
     EpochResult finalize_epoch(
@@ -210,8 +289,7 @@ class Pipeline
      * Shared worker pool for the O(n²) Reorder set algebra, created
      * lazily the first time a window is big enough to benefit (small
      * windows stay sequential — the fork/join overhead would dominate).
-     * Thread safe: gather threads of the overlapped executor call
-     * window_order concurrently, and both the lazy construction
+     * Thread safe: gather threads call window_order concurrently, and both the lazy construction
      * (call_once) and ThreadPool::submit are safe under contention. The
      * row-sharded matrix is bit-identical for any worker count, so the
      * pool never changes results.
@@ -224,8 +302,6 @@ class Pipeline
     sim::KernelModel kernels_;
     compute::ComputeCostModel cost_model_;
     sample::BatchSplitter splitter_;
-    /** The sequential path's sampler (after opts_ and splitter_). */
-    ThreadSampler sampler_;
     std::optional<match::StaticFeatureCache> cache_;
     int64_t cache_rows_ = 0;
     int trainers_ = 1;
@@ -233,6 +309,9 @@ class Pipeline
     uint64_t param_bytes_ = 0;
     int epoch_ = 0;
     std::vector<BatchStageTimes> last_stages_;
+    /** Stop flag + close-queues action of the in-flight epoch. */
+    util::StageShutdown shutdown_;
+    EpochHostStats stats_;
     mutable std::once_flag match_pool_once_;
     mutable std::unique_ptr<util::ThreadPool> match_pool_;
 };

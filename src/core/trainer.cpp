@@ -180,8 +180,8 @@ Trainer::train_epoch()
     // Sampler lookahead for the storage prefetcher: batches are still
     // sampled strictly in order 0,1,2,... (every RNG stream untouched),
     // but up to prefetch_depth of them sit in this buffer before being
-    // consumed — the window AsyncPipeline's producer naturally has —
-    // so their node sets can prefetch storage blocks early.
+    // consumed — the window Pipeline's producer threads naturally
+    // have — so their node sets can prefetch storage blocks early.
     std::deque<sample::SampledSubgraph> lookahead;
     int64_t next_to_sample = 0;
     const int64_t depth =

@@ -26,7 +26,6 @@
 #include "compute/kernel_engine.h"
 #include "compute/loss.h"
 #include "compute/optimizer.h"
-#include "core/async_pipeline.h"
 #include "core/framework_config.h"
 #include "core/memory_estimator.h"
 #include "core/multi_gpu.h"

@@ -5,7 +5,7 @@
  * numeric kernels.
  *
  * Every consumer of gathered features (core::Trainer, serve::Server's
- * real forwards, core::AsyncPipeline's gather stage) historically called
+ * real forwards) historically called
  * graph::FeatureStore::gather_row one node at a time: a cross-TU call
  * plus a bounds check per row, into a freshly heap-allocated tensor per
  * batch. GatherEngine replaces that loop with

@@ -56,10 +56,6 @@ class Matcher
     /** Forget the resident batch (start of a fresh epoch/GPU). */
     void reset();
 
-    // --- cumulative statistics ---
-    int64_t total_loaded() const { return total_loaded_; }
-    int64_t total_reused() const { return total_reused_; }
-
     /** Fraction of node loads avoided so far. */
     double
     reuse_fraction() const

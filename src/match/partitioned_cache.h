@@ -152,13 +152,6 @@ class PartitionedFeatureCache
     ShardLookup lookup_batch(int device,
                              std::span<const graph::NodeId> nodes);
 
-    /** Cumulative counters of partition @p p. */
-    const PartitionCacheCounters &
-    partition_stats(int p) const
-    {
-        return part_counters_[static_cast<size_t>(p)];
-    }
-
     /** All per-partition counters, partition order. */
     const std::vector<PartitionCacheCounters> &
     per_partition() const
@@ -168,13 +161,6 @@ class PartitionedFeatureCache
 
     /** Summed counters across every partition. */
     PartitionCacheCounters totals() const;
-
-    /** Hit fraction (local + remote) over all lookups so far. */
-    double
-    aggregate_hit_rate() const
-    {
-        return totals().hit_rate();
-    }
 
     void reset_stats();
 

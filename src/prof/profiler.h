@@ -24,7 +24,7 @@
  *
  * Threading: a Profiler instance is single-writer, exactly like the
  * serving sequencer's virtual state — one thread records during a run,
- * other threads may read only after the owner's join. AsyncPipeline
+ * other threads may read only after the owner's join. core::Pipeline
  * feeds it post-join from the per-position record array (deterministic
  * order), never from its concurrent drains.
  */
@@ -157,7 +157,7 @@ struct ProfileReport
 
 /**
  * One batch's modelled seconds as its cost path charged them, plus the
- * payload each stage carried. Trainer, AsyncPipeline and Server all
+ * payload each stage carried. Trainer, Pipeline and Server all
  * hand the profiler this one decomposition, and Profiler::record_batch
  * maps it onto stages the same way for each of them.
  */

@@ -2,8 +2,8 @@
  * @file
  * One-pass count-while-dedup frequency map over the Fused-Map table.
  *
- * The presample phases (core::Pipeline::build_cache, serve::Server's
- * cache warmup) historically made two passes over the presampled node
+ * The presample phases (core::Pipeline::build_cache, core::Trainer's
+ * cache presample) historically made two passes over the presampled node
  * stream: a dense num_nodes-sized frequency array updated per
  * occurrence, then a full-graph sort to rank hotness. FrequencyHashmap
  * collapses the counting side into the dedup pass the sampler already

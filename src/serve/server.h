@@ -5,7 +5,7 @@
  * into a request/response service with dynamic micro-batching, an
  * embedding cache, and SLO-aware admission control.
  *
- * Two clocks coexist, exactly as in core::AsyncPipeline:
+ * Two clocks coexist, exactly as in core::Pipeline's epoch executor:
  *
  *  - the *virtual* clock: request arrivals, batch close times, queue
  *    depths, admission decisions, and every latency a client observes
@@ -180,8 +180,8 @@ struct ServerOptions
     /**
      * Warmup trace recorded from a training epoch (or any presample
      * sweep). When non-empty: the feature-cache hotness ranking is
-     * presample_ranking(warmup.frequencies) — overriding cache_policy —
-     * and every serve() call starts with each tier's embedding cache
+     * presample_ranking(warmup.frequencies) instead of node degree, and
+     * every serve() call starts with each tier's embedding cache
      * seeded with the hottest nodes at virtual time 0 instead of cold.
      */
     match::WarmupTrace warmup;
@@ -190,9 +190,6 @@ struct ServerOptions
      * 0 disables the feature cache.
      */
     double feature_cache_ratio = 0.2;
-    /** Hotness ranking that fills the feature cache (overridden by a
-     *  non-empty warmup trace). */
-    match::CachePolicy cache_policy = match::CachePolicy::kDegree;
     /** Embedding cache of the single-model configuration; ignored when
      *  `models` is non-empty (each tier brings its own). */
     EmbeddingCacheOptions embedding;

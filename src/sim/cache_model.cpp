@@ -90,31 +90,5 @@ CacheModel::reset()
     tick_ = hits_ = misses_ = 0;
 }
 
-void
-CacheHierarchy::access(uint64_t address)
-{
-    if (!l1_.access(address))
-        l2_.access(address);
-}
-
-void
-CacheHierarchy::access_range(uint64_t address, uint64_t bytes)
-{
-    if (bytes == 0)
-        return;
-    const int line = l1_.line_bytes();
-    const uint64_t first = address / line;
-    const uint64_t last = (address + bytes - 1) / line;
-    for (uint64_t l = first; l <= last; ++l)
-        access(l * line);
-}
-
-void
-CacheHierarchy::reset()
-{
-    l1_.reset();
-    l2_.reset();
-}
-
 } // namespace sim
 } // namespace fastgl

@@ -5,7 +5,7 @@
  * Used to reproduce the paper's Table 2: the L1/L2 hit rates observed
  * during GNN aggregation. The aggregation kernels replay their real memory
  * access streams (addresses derived from the sampled subgraph's CSR) through
- * a two-level cache hierarchy and report hit rates, which in turn drive the
+ * L1 and L2 CacheModels and report hit rates, which in turn drive the
  * naive kernel's effective bandwidth in the timing model.
  */
 #pragma once
@@ -66,35 +66,6 @@ class CacheModel
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-};
-
-/** Two-level hierarchy: accesses filter through L1 then L2. */
-class CacheHierarchy
-{
-  public:
-    /**
-     * @param l1 per-SM L1 model (the replay is per-thread-block, so one
-     *           SM's L1 is representative)
-     * @param l2 device-wide L2 model
-     */
-    CacheHierarchy(CacheModel l1, CacheModel l2)
-        : l1_(std::move(l1)), l2_(std::move(l2))
-    {}
-
-    /** Access a word; on L1 miss the line is looked up in L2. */
-    void access(uint64_t address);
-
-    /** Access a contiguous range line by line. */
-    void access_range(uint64_t address, uint64_t bytes);
-
-    const CacheModel &l1() const { return l1_; }
-    const CacheModel &l2() const { return l2_; }
-
-    void reset();
-
-  private:
-    CacheModel l1_;
-    CacheModel l2_;
 };
 
 } // namespace sim

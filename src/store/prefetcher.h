@@ -2,7 +2,7 @@
  * @file
  * Sampler-lookahead prefetcher for the storage tier.
  *
- * Sampling runs ahead of gathering (core::AsyncPipeline's producer and
+ * Sampling runs ahead of gathering (core::Pipeline's producer threads and
  * the trainer's in-order lookahead buffer both know future batches'
  * node sets before their features are needed), so the storage blocks a
  * future batch will touch can be read while earlier batches compute.

@@ -20,7 +20,7 @@
  *
  * Not thread safe: each consumer (sampler instance, worker thread) owns
  * its own arena, matching the "per-thread sampler clone" design of
- * core::AsyncPipeline.
+ * core::Pipeline's epoch executor.
  */
 #pragma once
 
@@ -124,16 +124,6 @@ class ArenaAllocator
         }
         current_ = wm_block_;
         offset_ = wm_offset_;
-    }
-
-    /** Bytes handed out since the last reset (excludes padding waste). */
-    size_t
-    bytes_in_use() const
-    {
-        size_t used = offset_;
-        for (size_t b = 0; b < current_; ++b)
-            used += blocks_[b].capacity;
-        return used;
     }
 
     /** Total bytes reserved from the heap across all blocks. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Bounded MPMC queue — the hand-over structure between the stages of the
- * overlapped training pipeline (core::AsyncPipeline).
+ * overlapped epoch executor (core::Pipeline::run_epoch).
  *
  * Producers block while the queue is full (backpressure: a slow consumer
  * throttles sampling instead of letting presampled subgraphs pile up

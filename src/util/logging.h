@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: fatal() is for user errors the program
  * cannot recover from (exits with code 1); panic() is for internal
- * invariant violations (aborts). warn()/inform() never stop execution.
- * Every record is printed: inform() to stdout, the others to stderr.
+ * invariant violations (aborts). warn() never stops execution. Every
+ * record is printed to stderr.
  */
 #pragma once
 
@@ -13,9 +13,6 @@
 
 namespace fastgl {
 namespace util {
-
-/** Informative message the user should see but not worry about. */
-void inform(const std::string &message);
 
 /** Something works well enough but deserves attention. */
 void warn(const std::string &message);

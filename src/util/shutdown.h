@@ -2,8 +2,8 @@
  * @file
  * Cooperative shutdown of a multi-stage thread graph.
  *
- * Every overlapped executor in FastGL (core::AsyncPipeline, the serving
- * loop in fastgl::serve) shares one teardown idiom: a stop flag the
+ * Every overlapped executor in FastGL (core::Pipeline's epoch, the
+ * serving loop in fastgl::serve) shares one teardown idiom: a stop flag the
  * stages poll, plus a "close everything" action (typically closing the
  * BoundedQueues between stages) that must run exactly when a run is in
  * flight. StageShutdown packages that idiom so each executor stops

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fixed-size thread pool used for genuinely concurrent execution of the
- * Fused-Map hash insertions, the parallel samplers, and the stages of
- * core::AsyncPipeline.
+ * Fused-Map hash insertions, the parallel samplers, and the Reorder set
+ * algebra of core::Pipeline.
  */
 #pragma once
 

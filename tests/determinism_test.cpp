@@ -1,19 +1,27 @@
 /**
  * @file
- * Determinism guarantees of the epoch executors: the same
+ * Determinism guarantees of the epoch executor: the same
  * PipelineOptions seed must produce bit-identical EpochResult /
- * PhaseBreakdown numbers across runs, across executors, and across
- * AsyncPipeline thread counts — the property that makes the overlapped
- * executor a drop-in replacement for the sequential one.
+ * PhaseBreakdown numbers across runs and across thread widths, equal
+ * to the goldens of the single-threaded loop the overlapped executor
+ * replaced.
  */
 #include <gtest/gtest.h>
 
-#include "core/async_pipeline.h"
 #include "core/pipeline.h"
+#include "epoch_digest.h"
 #include "graph/datasets.h"
 
 namespace fastgl {
 namespace {
+
+using reference::next_epoch_digest;
+
+// Goldens of options_with_seed(), epochs 1 and 2, captured from the
+// single-threaded loop.
+constexpr uint64_t kSeed2024[] = {0x08E67570877827E1ULL,
+                                  0xEEAC2B1A1D288ACDULL};
+constexpr uint64_t kSeed99Epoch1 = 0x5BC196A54C557B77ULL;
 
 const graph::Dataset &
 products()
@@ -57,38 +65,39 @@ expect_identical(const core::EpochResult &a, const core::EpochResult &b)
     EXPECT_EQ(a.unique_nodes, b.unique_nodes);
 }
 
-TEST(Determinism, SequentialSameSeedSameNumbersAcrossRuns)
+/** Two pipelines at one width agree with each other and the golden. */
+void
+expect_runs_agree(int sampler_threads)
 {
-    const auto opts = options_with_seed(2024);
+    auto opts = options_with_seed(2024);
+    opts.executor.sampler_threads = sampler_threads;
+    opts.executor.gather_threads = sampler_threads;
     core::Pipeline a(products(), opts);
     core::Pipeline b(products(), opts);
-    for (int epoch = 0; epoch < 2; ++epoch)
-        expect_identical(a.run_epoch(), b.run_epoch());
+    for (uint64_t want : kSeed2024) {
+        EXPECT_EQ(next_epoch_digest(a), want);
+        EXPECT_EQ(next_epoch_digest(b), want);
+    }
+}
+
+TEST(Determinism, SequentialSameSeedSameNumbersAcrossRuns)
+{
+    expect_runs_agree(1); // one thread per stage
 }
 
 TEST(Determinism, AsyncSameSeedSameNumbersAcrossRuns)
 {
-    const auto opts = options_with_seed(2024);
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 4;
-    core::AsyncPipeline a(products(), opts, async);
-    core::AsyncPipeline b(products(), opts, async);
-    for (int epoch = 0; epoch < 2; ++epoch)
-        expect_identical(a.run_epoch(), b.run_epoch());
+    expect_runs_agree(4);
 }
 
 TEST(Determinism, AsyncMatchesSequentialAcrossThreadCounts)
 {
-    const auto opts = options_with_seed(99);
-    core::Pipeline seq(products(), opts);
-    const auto reference = seq.run_epoch();
-
-    // The ISSUE's acceptance matrix: {1, 2, 8} sampler threads.
     for (int threads : {1, 2, 8}) {
-        core::AsyncPipelineOptions async;
-        async.sampler_threads = threads;
-        core::AsyncPipeline pipe(products(), opts, async);
-        expect_identical(reference, pipe.run_epoch());
+        auto opts = options_with_seed(99);
+        opts.executor.sampler_threads = threads;
+        core::Pipeline pipe(products(), opts);
+        EXPECT_EQ(next_epoch_digest(pipe), kSeed99Epoch1)
+            << "threads=" << threads;
     }
 }
 

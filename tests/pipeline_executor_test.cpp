@@ -1,9 +1,11 @@
 /**
  * @file
- * Concurrency tests for core::AsyncPipeline: bit-identical modelled
- * results versus the sequential Pipeline across thread counts and
- * presets, backpressure under a slow consumer, exception propagation
- * from every stage, and clean shutdown mid-epoch.
+ * Tests of Pipeline's overlapped epoch executor: modelled results equal
+ * to the goldens of the single-threaded loop it replaced, at every
+ * thread width and preset; backpressure under a slow consumer;
+ * exception propagation from every stage; and clean shutdown
+ * mid-epoch. The suite keeps the `AsyncPipeline` name under which these
+ * tests were first written against a separate executor class.
  */
 #include <gtest/gtest.h>
 
@@ -11,15 +13,18 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
-#include "core/async_pipeline.h"
 #include "core/pipeline.h"
+#include "epoch_digest.h"
 #include "graph/datasets.h"
 #include "prof/profiler.h"
 
 namespace fastgl {
 namespace {
+
+using reference::next_epoch_digest;
 
 const graph::Dataset &
 products()
@@ -45,71 +50,127 @@ base_options(core::Framework fw)
     return opts;
 }
 
-/** Exact (bit-level) equality of two epoch results. */
-void
-expect_identical(const core::EpochResult &a, const core::EpochResult &b)
+/** Goldens of the first two epochs of one configuration. */
+struct Golden
 {
-    EXPECT_EQ(a.phases.sample, b.phases.sample);
-    EXPECT_EQ(a.phases.id_map, b.phases.id_map);
-    EXPECT_EQ(a.phases.io, b.phases.io);
-    EXPECT_EQ(a.phases.compute, b.phases.compute);
-    EXPECT_EQ(a.phases.allreduce, b.phases.allreduce);
-    EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
-    EXPECT_EQ(a.batches, b.batches);
-    EXPECT_EQ(a.nodes_loaded, b.nodes_loaded);
-    EXPECT_EQ(a.nodes_reused, b.nodes_reused);
-    EXPECT_EQ(a.cache_hits, b.cache_hits);
-    EXPECT_EQ(a.bytes_loaded, b.bytes_loaded);
-    EXPECT_EQ(a.sampled_instances, b.sampled_instances);
-    EXPECT_EQ(a.unique_nodes, b.unique_nodes);
+    uint64_t epoch1 = 0;
+    uint64_t epoch2 = 0;
+};
+
+// Captured from the single-threaded loop with base_options().
+constexpr Golden kPyG{0x114C596E8E593C0EULL, 0xE53555A936817719ULL};
+constexpr Golden kDgl{0xA7A7F042E18EF85FULL, 0x08A968047A0B1FCEULL};
+/** GNNLab on 3 GPUs: one dedicated sampler GPU, two trainers. */
+constexpr Golden kGnnLab{0xDAC6511F452ACCE2ULL, 0x0CCD29835FF2F1A0ULL};
+/** GNNLab on 2 GPUs with a 20% static cache. */
+constexpr Golden kGnnLabCache{0x35085CDED6B94BFDULL,
+                              0xA13D4C1201CCD2C2ULL};
+constexpr Golden kFastGl{0xD16EA54054243F0CULL, 0xEA3118EE9C35A3EBULL};
+/** FastGL with a 20% static cache on top of Match. */
+constexpr Golden kFastGlCache{0x252AAFC83A163E0CULL,
+                              0x1DA584E03DE2C7B6ULL};
+constexpr Golden kFastGlWalk{0xFF90B08C21D5A1E4ULL,
+                             0xA78E119436F37094ULL};
+constexpr Golden kTwoMachines{0xCD7BAAA4F0AE9FCAULL,
+                              0xB3F6C62C0A4215FAULL};
+/** One GPU, 16 batches in windows of 2. */
+constexpr Golden kOneGpuWindow2{0x673F74929381E55CULL,
+                                0x702AB4D2ED384B49ULL};
+
+/** Two epochs of @p opts at (sampler, gather, compute) widths match
+ *  @p want. */
+void
+expect_golden(core::PipelineOptions opts, const Golden &want)
+{
+    for (const auto &[samplers, gatherers, computers] :
+         {std::tuple{1, 1, 1}, std::tuple{2, 2, 1}, std::tuple{4, 4, 2}}) {
+        opts.executor.sampler_threads = samplers;
+        opts.executor.gather_threads = gatherers;
+        opts.executor.compute_threads = computers;
+        core::Pipeline pipe(products(), opts);
+        EXPECT_EQ(next_epoch_digest(pipe), want.epoch1)
+            << "widths " << samplers << gatherers << computers;
+        EXPECT_EQ(next_epoch_digest(pipe), want.epoch2)
+            << "widths " << samplers << gatherers << computers;
+    }
+}
+
+TEST(PipelineGolden, PyG)
+{
+    expect_golden(base_options(core::Framework::kPyG), kPyG);
+}
+
+TEST(PipelineGolden, Dgl)
+{
+    expect_golden(base_options(core::Framework::kDgl), kDgl);
+}
+
+TEST(PipelineGolden, GnnLabPipelinedSampling)
+{
+    auto opts = base_options(core::Framework::kGnnLab);
+    opts.num_gpus = 3;
+    expect_golden(opts, kGnnLab);
+}
+
+TEST(PipelineGolden, FastGl)
+{
+    expect_golden(base_options(core::Framework::kFastGL), kFastGl);
+}
+
+TEST(PipelineGolden, FastGlStaticCache)
+{
+    auto opts = base_options(core::Framework::kFastGL);
+    opts.cache_ratio = 0.2;
+    expect_golden(opts, kFastGlCache);
+}
+
+TEST(PipelineGolden, FastGlRandomWalk)
+{
+    auto opts = base_options(core::Framework::kFastGL);
+    opts.use_random_walk = true;
+    expect_golden(opts, kFastGlWalk);
+}
+
+TEST(PipelineGolden, TwoMachines)
+{
+    auto opts = base_options(core::Framework::kFastGL);
+    opts.num_machines = 2;
+    expect_golden(opts, kTwoMachines);
 }
 
 TEST(AsyncPipeline, BitIdenticalToSequentialFastGl)
 {
-    const auto opts = base_options(core::Framework::kFastGL);
-    core::Pipeline seq(products(), opts);
-
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 2;
-    core::AsyncPipeline overlapped(products(), opts, async);
-
-    // Two epochs: the epoch counter and shuffle stream must stay in
-    // lockstep with the sequential executor across calls.
-    for (int epoch = 0; epoch < 2; ++epoch) {
-        const auto rs = seq.run_epoch();
-        const auto ra = overlapped.run_epoch();
-        expect_identical(rs, ra);
-    }
+    // Two epochs: the epoch counter and shuffle stream must advance
+    // exactly as the single-threaded loop's did across calls.
+    auto opts = base_options(core::Framework::kFastGL);
+    opts.executor.sampler_threads = 2;
+    core::Pipeline pipe(products(), opts);
+    EXPECT_EQ(next_epoch_digest(pipe), kFastGl.epoch1);
+    EXPECT_EQ(next_epoch_digest(pipe), kFastGl.epoch2);
 }
 
 TEST(AsyncPipeline, BitIdenticalAcrossSamplerThreadCounts)
 {
-    const auto opts = base_options(core::Framework::kFastGL);
-    core::Pipeline seq(products(), opts);
-    const auto reference = seq.run_epoch();
-
     for (int threads : {1, 2, 4, 8}) {
-        core::AsyncPipelineOptions async;
-        async.sampler_threads = threads;
-        core::AsyncPipeline pipe(products(), opts, async);
-        expect_identical(reference, pipe.run_epoch());
+        auto opts = base_options(core::Framework::kFastGL);
+        opts.executor.sampler_threads = threads;
+        core::Pipeline pipe(products(), opts);
+        EXPECT_EQ(next_epoch_digest(pipe), kFastGl.epoch1)
+            << "threads=" << threads;
     }
 }
 
 TEST(AsyncPipeline, BitIdenticalAcrossGatherAndComputeThreads)
 {
-    const auto opts = base_options(core::Framework::kFastGL);
-    core::Pipeline seq(products(), opts);
-    const auto reference = seq.run_epoch();
-
     for (int gather : {1, 3}) {
         for (int compute : {1, 2}) {
-            core::AsyncPipelineOptions async;
-            async.sampler_threads = 4;
-            async.gather_threads = gather;
-            async.compute_threads = compute;
-            core::AsyncPipeline pipe(products(), opts, async);
-            expect_identical(reference, pipe.run_epoch());
+            auto opts = base_options(core::Framework::kFastGL);
+            opts.executor.sampler_threads = 4;
+            opts.executor.gather_threads = gather;
+            opts.executor.compute_threads = compute;
+            core::Pipeline pipe(products(), opts);
+            EXPECT_EQ(next_epoch_digest(pipe), kFastGl.epoch1)
+                << "gather=" << gather << " compute=" << compute;
         }
     }
 }
@@ -118,16 +179,15 @@ TEST(AsyncPipeline, ProfileSamplerStageHoldsSampleAndIdMap)
 {
     // The one stage mapping: sampler = sample + id_map, whatever the
     // thread counts, and the whole report is width-independent.
-    const auto opts = base_options(core::Framework::kFastGL);
     std::vector<uint64_t> fingerprints;
     for (int threads : {1, 4}) {
         prof::Profiler profiler(true);
-        core::AsyncPipelineOptions async;
-        async.sampler_threads = threads;
-        async.gather_threads = threads;
-        async.compute_threads = threads;
-        async.profiler = &profiler;
-        core::AsyncPipeline pipe(products(), opts, async);
+        auto opts = base_options(core::Framework::kFastGL);
+        opts.executor.sampler_threads = threads;
+        opts.executor.gather_threads = threads;
+        opts.executor.compute_threads = threads;
+        opts.executor.profiler = &profiler;
+        core::Pipeline pipe(products(), opts);
         const core::EpochResult r = pipe.run_epoch();
         const double want = r.phases.sample + r.phases.id_map;
         EXPECT_NEAR(profiler.stage(prof::Stage::kSampler).busy_seconds,
@@ -144,25 +204,20 @@ TEST(AsyncPipeline, BitIdenticalWithStaticCachePreset)
     // on the concurrent gather path.
     auto opts = base_options(core::Framework::kGnnLab);
     opts.cache_ratio = 0.2;
-    core::Pipeline seq(products(), opts);
-
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 3;
-    async.gather_threads = 2;
-    core::AsyncPipeline pipe(products(), opts, async);
-    expect_identical(seq.run_epoch(), pipe.run_epoch());
+    opts.executor.sampler_threads = 3;
+    opts.executor.gather_threads = 2;
+    core::Pipeline pipe(products(), opts);
+    EXPECT_EQ(next_epoch_digest(pipe), kGnnLabCache.epoch1);
+    EXPECT_EQ(next_epoch_digest(pipe), kGnnLabCache.epoch2);
 }
 
 TEST(AsyncPipeline, BitIdenticalWithRandomWalkSampler)
 {
     auto opts = base_options(core::Framework::kFastGL);
     opts.use_random_walk = true;
-    core::Pipeline seq(products(), opts);
-
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 4;
-    core::AsyncPipeline pipe(products(), opts, async);
-    expect_identical(seq.run_epoch(), pipe.run_epoch());
+    opts.executor.sampler_threads = 4;
+    core::Pipeline pipe(products(), opts);
+    EXPECT_EQ(next_epoch_digest(pipe), kFastGlWalk.epoch1);
 }
 
 TEST(AsyncPipeline, BackpressureThrottlesProducersUnderSlowConsumer)
@@ -171,19 +226,19 @@ TEST(AsyncPipeline, BackpressureThrottlesProducersUnderSlowConsumer)
     opts.max_batches = 16;
     opts.reorder_window = 2; // 8 windows -> plenty of hand-overs
 
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 4;
-    async.gather_threads = 1;
-    async.queue_depth = 2;
+    core::ExecutorOptions &exec = opts.executor;
+    exec.sampler_threads = 4;
+    exec.gather_threads = 1;
+    exec.queue_depth = 2;
     // Gate the first gathered window on the producers having sampled
     // more windows than the queue can hold (7 of 8, i.e. 14 batches:
     // one consumed + two queued + four in producer hands), so at least
     // one producer provably blocks in push() regardless of how slow
     // this host or a sanitizer build is.
     std::atomic<int> sampled{0};
-    async.sample_hook = [&sampled](int64_t) { sampled.fetch_add(1); };
+    exec.sample_hook = [&sampled](int64_t) { sampled.fetch_add(1); };
     std::atomic<bool> gated{false};
-    async.gather_hook = [&](int) {
+    exec.gather_hook = [&](int) {
         if (gated.exchange(true))
             return;
         while (sampled.load() < 14)
@@ -191,13 +246,13 @@ TEST(AsyncPipeline, BackpressureThrottlesProducersUnderSlowConsumer)
         // Let the last samplers actually enter their blocking push.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     };
-    core::AsyncPipeline pipe(products(), opts, async);
+    core::Pipeline pipe(products(), opts);
     const auto result = pipe.run_epoch();
     EXPECT_EQ(result.batches, 16);
 
-    const core::AsyncEpochStats &stats = pipe.last_stats();
+    const core::EpochHostStats &stats = pipe.last_stats();
     // The queue never exceeded its bound...
-    EXPECT_LE(stats.batch_queue.max_depth, async.queue_depth);
+    EXPECT_LE(stats.batch_queue.max_depth, exec.queue_depth);
     // ...and fast producers really had to wait for the slow consumer.
     EXPECT_GT(stats.batch_queue.push_blocked, 0u);
     EXPECT_EQ(stats.batches_completed, 16);
@@ -214,23 +269,20 @@ TEST(AsyncPipeline, ReassemblyRingGrowsWhenOneWindowLagsFarBehind)
     // windows up to sequence 7 with next_window still at 0 or 1, far
     // past the seed capacity, which used to trip a FASTGL_CHECK panic
     // and must now grow the ring instead. The epoch still finishes and
-    // stays bit-identical to the sequential executor.
+    // still matches its golden.
     auto opts = base_options(core::Framework::kFastGL);
     opts.num_gpus = 1;
     opts.max_batches = 16;
     opts.reorder_window = 2; // 8 windows, all on the single GPU
 
-    core::Pipeline seq(products(), opts);
-    const auto reference = seq.run_epoch();
-
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 2;
-    async.gather_threads = 1;
-    async.compute_threads = 1;
-    async.queue_depth = 1;
+    core::ExecutorOptions &exec = opts.executor;
+    exec.sampler_threads = 2;
+    exec.gather_threads = 1;
+    exec.compute_threads = 1;
+    exec.queue_depth = 1;
     std::atomic<int> sampled{0};
     std::atomic<bool> stalled{false};
-    async.sample_hook = [&](int64_t) {
+    exec.sample_hook = [&](int64_t) {
         if (stalled.exchange(true)) {
             sampled.fetch_add(1);
             return;
@@ -245,50 +297,52 @@ TEST(AsyncPipeline, ReassemblyRingGrowsWhenOneWindowLagsFarBehind)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
     };
-    core::AsyncPipeline pipe(products(), opts, async);
-    expect_identical(reference, pipe.run_epoch());
+    core::Pipeline pipe(products(), opts);
+    EXPECT_EQ(next_epoch_digest(pipe), kOneGpuWindow2.epoch1);
     EXPECT_EQ(pipe.last_stats().batches_completed, 16);
+    // The hook stalls only once; the next epoch runs unhindered.
+    EXPECT_EQ(next_epoch_digest(pipe), kOneGpuWindow2.epoch2);
 }
 
 TEST(AsyncPipeline, SampleStageExceptionPropagatesToCaller)
 {
     auto opts = base_options(core::Framework::kFastGL);
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 3;
-    async.sample_hook = [](int64_t index) {
+    core::ExecutorOptions &exec = opts.executor;
+    exec.sampler_threads = 3;
+    exec.sample_hook = [](int64_t index) {
         if (index == 5)
             throw std::runtime_error("sampler stage died");
     };
-    core::AsyncPipeline pipe(products(), opts, async);
+    core::Pipeline pipe(products(), opts);
     EXPECT_THROW(pipe.run_epoch(), std::runtime_error);
 }
 
 TEST(AsyncPipeline, GatherStageExceptionPropagatesToCaller)
 {
     auto opts = base_options(core::Framework::kFastGL);
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 2;
+    core::ExecutorOptions &exec = opts.executor;
+    exec.sampler_threads = 2;
     std::atomic<int> windows{0};
-    async.gather_hook = [&windows](int) {
+    exec.gather_hook = [&windows](int) {
         if (windows.fetch_add(1) == 1)
             throw std::runtime_error("gather stage died");
     };
-    core::AsyncPipeline pipe(products(), opts, async);
+    core::Pipeline pipe(products(), opts);
     EXPECT_THROW(pipe.run_epoch(), std::runtime_error);
 }
 
 TEST(AsyncPipeline, ComputeStageExceptionPropagatesToCaller)
 {
     auto opts = base_options(core::Framework::kFastGL);
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 2;
-    async.compute_threads = 2;
+    core::ExecutorOptions &exec = opts.executor;
+    exec.sampler_threads = 2;
+    exec.compute_threads = 2;
     std::atomic<int> batches{0};
-    async.compute_hook = [&batches](int64_t) {
+    exec.compute_hook = [&batches](int64_t) {
         if (batches.fetch_add(1) == 3)
             throw std::runtime_error("compute stage died");
     };
-    core::AsyncPipeline pipe(products(), opts, async);
+    core::Pipeline pipe(products(), opts);
     EXPECT_THROW(pipe.run_epoch(), std::runtime_error);
 }
 
@@ -298,19 +352,18 @@ TEST(AsyncPipeline, CleanShutdownMidEpoch)
     opts.max_batches = 16;
     opts.reorder_window = 2;
 
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 2;
-    core::AsyncPipeline *handle = nullptr;
+    core::Pipeline *handle = nullptr;
     std::atomic<int> computed{0};
-    async.compute_hook = [&](int64_t) {
+    opts.executor.sampler_threads = 2;
+    opts.executor.compute_hook = [&](int64_t) {
         if (computed.fetch_add(1) == 2)
             handle->request_stop();
     };
-    core::AsyncPipeline pipe(products(), opts, async);
+    core::Pipeline pipe(products(), opts);
     handle = &pipe;
 
     const auto result = pipe.run_epoch(); // must return, not hang
-    const core::AsyncEpochStats &stats = pipe.last_stats();
+    const core::EpochHostStats &stats = pipe.last_stats();
     EXPECT_TRUE(stats.stopped_early);
     EXPECT_TRUE(pipe.stop_requested());
     EXPECT_LT(stats.batches_completed, 16);
@@ -321,43 +374,35 @@ TEST(AsyncPipeline, CleanShutdownMidEpoch)
 
 TEST(AsyncPipeline, EpochAfterStopRunsCleanAndStaysDeterministic)
 {
-    const auto opts = base_options(core::Framework::kFastGL);
-
-    // Sequential twin runs two full epochs.
-    core::Pipeline seq(products(), opts);
-    seq.run_epoch();
-    const auto reference = seq.run_epoch();
-
-    // Async twin: epoch 1 is cut short, epoch 2 runs to completion.
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 2;
-    core::AsyncPipeline *handle = nullptr;
+    // Epoch 1 is cut short, epoch 2 runs to completion.
+    auto opts = base_options(core::Framework::kFastGL);
+    core::Pipeline *handle = nullptr;
     std::atomic<bool> first_epoch{true};
-    async.compute_hook = [&](int64_t) {
+    opts.executor.sampler_threads = 2;
+    opts.executor.compute_hook = [&](int64_t) {
         if (first_epoch.load())
             handle->request_stop();
     };
-    core::AsyncPipeline pipe(products(), opts, async);
+    core::Pipeline pipe(products(), opts);
     handle = &pipe;
     pipe.run_epoch(); // partial epoch 1
     EXPECT_TRUE(pipe.last_stats().stopped_early);
     first_epoch.store(false);
 
-    // Epoch numbering and shuffle state stayed in lockstep, so epoch 2
-    // is still bit-identical to the sequential executor's epoch 2.
-    expect_identical(reference, pipe.run_epoch());
+    // Epoch numbering and shuffle state advanced as for a full epoch,
+    // so epoch 2 still matches its golden.
+    EXPECT_EQ(next_epoch_digest(pipe), kFastGl.epoch2);
     EXPECT_FALSE(pipe.last_stats().stopped_early);
 }
 
 TEST(AsyncPipeline, StatsAccountOverlappedExecution)
 {
-    const auto opts = base_options(core::Framework::kFastGL);
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 2;
-    core::AsyncPipeline pipe(products(), opts, async);
+    auto opts = base_options(core::Framework::kFastGL);
+    opts.executor.sampler_threads = 2;
+    core::Pipeline pipe(products(), opts);
     pipe.run_epoch();
 
-    const core::AsyncEpochStats &stats = pipe.last_stats();
+    const core::EpochHostStats &stats = pipe.last_stats();
     EXPECT_GT(stats.wall_seconds, 0.0);
     EXPECT_GT(stats.sample_busy_seconds, 0.0);
     EXPECT_GT(stats.gather_busy_seconds, 0.0);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for util::StageShutdown — the close-queues/join/drain idiom
- * extracted from core::AsyncPipeline and shared with serve::Server.
+ * shared by core::Pipeline's epoch executor and serve::Server.
  * The load-bearing property: a request_stop() racing a running stage
  * graph closes every queue exactly once and never deadlocks, no matter
  * where the stages are blocked (full push, empty pop) when it lands.
@@ -36,7 +36,7 @@ TEST(StageShutdown, BeginRunResetsTheFlagForTheNextRun)
     ASSERT_TRUE(shutdown.stop_requested());
 
     // A stop that happened before the run began targeted no run; the
-    // new run starts clean (AsyncPipeline epoch 2 after a stopped
+    // new run starts clean (Pipeline epoch 2 after a stopped
     // epoch 1 must execute fully).
     int closes = 0;
     shutdown.begin_run([&closes] { ++closes; });

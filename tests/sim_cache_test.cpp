@@ -79,28 +79,6 @@ TEST(CacheModel, ResetClearsContentsAndCounters)
     EXPECT_FALSE(cache.access(0)); // cold again
 }
 
-TEST(CacheHierarchy, L2CatchesL1Misses)
-{
-    sim::CacheHierarchy hier(sim::CacheModel(128, 64, 2),
-                             sim::CacheModel(1 << 14, 64, 4));
-    // Working set of 8 lines: too big for L1 (2 lines), fits L2.
-    for (int round = 0; round < 3; ++round) {
-        for (uint64_t i = 0; i < 8; ++i)
-            hier.access(i * 64);
-    }
-    EXPECT_LT(hier.l1().hit_rate(), 0.2);
-    EXPECT_GT(hier.l2().hit_rate(), 0.5);
-}
-
-TEST(CacheHierarchy, L1HitDoesNotTouchL2)
-{
-    sim::CacheHierarchy hier(sim::CacheModel(1024, 64, 2),
-                             sim::CacheModel(1 << 14, 64, 4));
-    hier.access(0);
-    hier.access(0);
-    EXPECT_EQ(hier.l2().accesses(), 1u); // only the first (miss)
-}
-
 /** Property sweep: hit rate bounded and monotone-ish in capacity. */
 class CacheCapacityProperty : public ::testing::TestWithParam<int> {};
 

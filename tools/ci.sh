@@ -100,6 +100,7 @@ BENCH_GATES=(
     'multigpu|build-perf-ci|"ok": true|'
     'oocstore|build-perf-ci|"ok": true|'
     'traffic|build-perf-ci|"ok": true|'
+    'async_overlap|build-perf-ci|identical": true|identical": false'
 )
 if [[ ! -d build-perf-ci ]]; then
     cmake -B build-perf-ci -S . -DCMAKE_BUILD_TYPE=Release
