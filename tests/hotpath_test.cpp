@@ -17,6 +17,7 @@
 #include "sample/layer_sampler.h"
 #include "sample/neighbor_sampler.h"
 #include "sample/random_walk_sampler.h"
+#include "sample/subgraph_inducer.h"
 #include "util/arena.h"
 #include "util/bitmap.h"
 #include "util/fingerprint.h"
@@ -432,6 +433,72 @@ TEST_F(GoldenBehavior, LayerSamplerUnchanged)
     for (int k = 0; k < 3; ++k)
         h = fnv(h, hash_subgraph(s.sample(seeds)));
     EXPECT_EQ(h, 0x7AB1C1D67AA48D1CULL);
+}
+
+/** Digest of the ID-map counts the device model charges. */
+uint64_t
+hash_id_map(uint64_t h, const sample::SampledSubgraph &sg)
+{
+    h = fnv(h, static_cast<uint64_t>(sg.id_map.instances));
+    h = fnv(h, static_cast<uint64_t>(sg.id_map.uniques));
+    return fnv(h, static_cast<uint64_t>(sg.id_map.probes));
+}
+
+// hash_subgraph covers neither id_map.{instances, uniques, probes} nor
+// anything else KernelModel::id_map_* reads, so these pins hold the
+// ID-map workload fixed across changes to the hash table itself.
+TEST_F(GoldenBehavior, IdMapCountsUnchanged)
+{
+    uint64_t h = kFnvOffset;
+    {
+        sample::NeighborSamplerOptions o;
+        o.fanouts = {5, 10, 15};
+        sample::NeighborSampler s(graph, o);
+        for (uint64_t k = 0; k < 4; ++k)
+            h = hash_id_map(h, s.sample(seeds, 1000 + k));
+    }
+    EXPECT_EQ(h, 0x3B52A9C4E015445DULL) << "NeighborSampler";
+
+    h = kFnvOffset;
+    {
+        sample::NeighborSamplerOptions o;
+        o.fanouts = {3, 50};
+        o.replace = true;
+        sample::NeighborSampler s(graph, o);
+        h = hash_id_map(h, s.sample(seeds, 5));
+    }
+    EXPECT_EQ(h, 0x6ECCF16BBA57D6D7ULL)
+        << "NeighborSampler with replacement";
+
+    h = kFnvOffset;
+    {
+        sample::RandomWalkSampler s(graph, sample::RandomWalkOptions{});
+        for (uint64_t k = 0; k < 4; ++k)
+            h = hash_id_map(h, s.sample(seeds, 2000 + k));
+    }
+    EXPECT_EQ(h, 0x8B2E4F9417EC5CC5ULL) << "RandomWalkSampler";
+
+    h = kFnvOffset;
+    {
+        sample::LayerSamplerOptions o;
+        o.layer_sizes = {512, 256};
+        o.seed = 31;
+        sample::LayerSampler s(graph, o);
+        for (int k = 0; k < 3; ++k)
+            h = hash_id_map(h, s.sample(seeds));
+    }
+    EXPECT_EQ(h, 0x42CDB2D63B90DA67ULL) << "LayerSampler";
+
+    h = kFnvOffset;
+    {
+        // The seed list holds duplicates, so the membership stream
+        // exercises both the fresh and the repeat insert paths.
+        sample::FusedHashTable table(16);
+        for (int layers : {1, 3})
+            h = hash_id_map(
+                h, sample::induce_subgraph(graph, seeds, layers, table, 7));
+    }
+    EXPECT_EQ(h, 0x23E619E4205A77D5ULL) << "induce_subgraph";
 }
 
 TEST(GoldenMatch, MatrixStatsAndReorderUnchanged)
