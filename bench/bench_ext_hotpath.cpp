@@ -1,18 +1,21 @@
 /**
  * @file
  * Hot-path overhaul validation: before/after throughput of the adaptive
- * set intersections, the parallel match-degree matrix, and the
- * arena-backed samplers. "Before" is replicated in-bench from the
- * pre-overhaul implementations (sequential merge-only intersections,
- * per-call heap scratch, unordered_map visit counts), and every replica
+ * set intersections, the parallel match-degree matrix, the
+ * arena-backed samplers and the radix NodeSet build. "Before" is
+ * replicated in-bench from the pre-overhaul implementations (sequential
+ * merge-only intersections, per-call heap scratch, unordered_map visit
+ * counts, std::sort + std::unique node sets), and every replica
  * is checked to produce bit-identical output to the live code first —
  * the speedups below compare equal work.
  *
  * Output is a single JSON object on stdout so CI can archive it
  * (tools/ci.sh writes BENCH_hotpath.json). Every timing is the median
  * of repeated trials that alternate which side runs first (bench/
- * harness.h), with its interquartile range next to it. Pass --smoke
- * for a seconds-long run with small sizes.
+ * harness.h), with its interquartile range next to it; the
+ * noise_floor_control object times one merge against itself, so its
+ * ratio's distance from 1.0 is the noise floor for the speedups. Pass
+ * --smoke for a seconds-long run with small sizes.
  */
 #include <algorithm>
 #include <atomic>
@@ -515,15 +518,40 @@ main(int argc, char **argv)
         uint64_t universe;
     };
     const Case cases[] = {
-        {"balanced", 4000, 4000, 20000},
         {"skew_16x", 250, 4000, 20000},
         {"skew_128x", 64, 8192, 40000},
         {"tiny_vs_huge", 8, 32768, 120000},
     };
     const int reps = smoke ? 20 : 400;
+    util::Rng rng(42);
+    {
+        // Noise-floor control: both sides run the same merge on one
+        // balanced pair, so the true ratio is 1.0 and the measured one
+        // shows how far this harness's ratios drift on equal work.
+        const auto a = random_sorted_set(rng, 4000, 20000);
+        const auto b = random_sorted_set(rng, 4000, 20000);
+        int64_t sums[2] = {0, 0};
+        auto side = [&](int64_t &sum) {
+            for (int r = 0; r < reps; ++r)
+                sum += match::detail::intersect_merge(a, b);
+        };
+        const auto [a_s, b_s] =
+            bench::time_ab(trials, [&] { side(sums[0]); },
+                           [&] { side(sums[1]); });
+        w.key("noise_floor_control").begin_object();
+        w.key("case").string("balanced");
+        w.key("size_a").integer(a.size());
+        w.key("size_b").integer(b.size());
+        w.key("reps").integer(reps);
+        bench::write_spread(w, "merge_a_s", a_s);
+        bench::write_spread(w, "merge_b_s", b_s);
+        w.key("expected_ratio").fixed(1.0, 3);
+        w.key("ratio").fixed(bench::ratio(a_s.median, b_s.median), 3);
+        w.key("counts_match").boolean(witness.check(sums[0] == sums[1]));
+        w.end_object();
+    }
     w.key("intersection").begin_array();
     {
-        util::Rng rng(42);
         for (const Case &c : cases) {
             const auto a = random_sorted_set(rng, c.size_a, c.universe);
             const auto b = random_sorted_set(rng, c.size_b, c.universe);
@@ -630,6 +658,39 @@ main(int argc, char **argv)
     w.key("random_walk_sampler");
     write_sampler_ab(w, witness, sampler_trials, per_trial, seeds, 2000,
                      legacy_walk, walk);
+
+    // ---- NodeSet build --------------------------------------------
+    // Sampled batches' node lists (first-seen order) through the
+    // pre-radix std::sort + std::unique build and the live NodeSet.
+    std::vector<std::vector<graph::NodeId>> node_lists;
+    for (int i = 0; i < per_trial; ++i)
+        node_lists.push_back(khop.sample(seeds, 3000 + uint64_t(i)).nodes);
+    std::vector<std::vector<graph::NodeId>> legacy_sets, live_sets;
+    const auto [legacy_build_s, live_build_s] = bench::time_ab(
+        trials,
+        [&] {
+            legacy_sets.clear();
+            for (const auto &nodes : node_lists) {
+                std::vector<graph::NodeId> v = nodes;
+                std::sort(v.begin(), v.end());
+                v.erase(std::unique(v.begin(), v.end()), v.end());
+                legacy_sets.push_back(std::move(v));
+            }
+        },
+        [&] {
+            live_sets.clear();
+            for (const auto &nodes : node_lists)
+                live_sets.push_back(match::NodeSet(nodes).sorted());
+        });
+    w.key("node_set_build").begin_object();
+    w.key("sets").integer(node_lists.size());
+    w.key("nodes_per_set").integer(node_lists[0].size());
+    bench::write_spread(w, "legacy_s", legacy_build_s);
+    bench::write_spread(w, "hotpath_s", live_build_s);
+    w.key("speedup").fixed(
+        bench::ratio(legacy_build_s.median, live_build_s.median), 3);
+    w.key("identical").boolean(witness.check(legacy_sets == live_sets));
+    w.end_object();
 
     w.end_object();
     return witness.finish(w);

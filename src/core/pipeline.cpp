@@ -199,7 +199,7 @@ Pipeline::ThreadSampler::sample(const Pipeline &pipe, int64_t epoch,
 
 Pipeline::BatchRecord
 Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
-                        match::Matcher &matcher) const
+                        match::NodeSet set, match::Matcher &matcher) const
 {
     BatchRecord rec;
     rec.instances = sg.instances;
@@ -241,8 +241,7 @@ Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
       }
       case IoStrategy::kMatch:
       case IoStrategy::kMatchReorder: {
-        match::NodeSet set(sg.nodes);
-        match::TransferPlan plan = matcher.plan(set);
+        match::TransferPlan plan = matcher.plan(std::move(set));
         rec.reused = plan.overlap_nodes;
         if (cache_ && opts_.fw.cache_on_top_of_match) {
             int64_t cached = 0;
@@ -323,21 +322,29 @@ Pipeline::reorder_pool(size_t num_sets) const
     return match_pool_.get();
 }
 
-std::vector<size_t>
-Pipeline::window_order(
-    const match::Matcher &matcher,
+std::vector<match::NodeSet>
+Pipeline::window_sets(
     const std::vector<sample::SampledSubgraph> &subgraphs) const
 {
-    std::vector<size_t> order(subgraphs.size());
+    std::vector<match::NodeSet> sets(subgraphs.size());
+    if (opts_.fw.io == IoStrategy::kMatch ||
+        opts_.fw.io == IoStrategy::kMatchReorder) {
+        for (size_t i = 0; i < sets.size(); ++i)
+            sets[i] = match::NodeSet(subgraphs[i].nodes);
+    }
+    return sets;
+}
+
+std::vector<size_t>
+Pipeline::window_order(const match::Matcher &matcher,
+                       const std::vector<match::NodeSet> &sets) const
+{
+    std::vector<size_t> order(sets.size());
     for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     const bool reorder = opts_.fw.io == IoStrategy::kMatchReorder &&
                          opts_.reorder_window > 1;
-    if (reorder && subgraphs.size() > 1) {
-        std::vector<match::NodeSet> sets;
-        sets.reserve(subgraphs.size());
-        for (const auto &sg : subgraphs)
-            sets.emplace_back(sg.nodes);
+    if (reorder && sets.size() > 1) {
         // Chain on raw overlap counts (= the rows Match saves),
         // anchored at the batch resident on the GPU from the
         // previous window so the hand-over also reuses. The pairwise
@@ -562,8 +569,10 @@ Pipeline::run_epoch()
                     ++state.next_window;
 
                     const util::WallTimer timer;
+                    std::vector<match::NodeSet> sets =
+                        window_sets(window.subgraphs);
                     const std::vector<size_t> order =
-                        window_order(state.matcher, window.subgraphs);
+                        window_order(state.matcher, sets);
                     bool queue_open = true;
                     for (size_t k = 0; k < order.size(); ++k) {
                         sample::SampledSubgraph &sg =
@@ -574,7 +583,8 @@ Pipeline::run_epoch()
                         ci.batch_id =
                             plan.per_gpu[static_cast<size_t>(
                                 window.ref.gpu)][ci.position];
-                        ci.record = plan_transfer(sg, state.matcher);
+                        ci.record = plan_transfer(
+                            sg, std::move(sets[order[k]]), state.matcher);
                         ci.sg = std::move(sg);
                         if (!compute_queue.push(std::move(ci))) {
                             queue_open = false;

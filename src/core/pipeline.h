@@ -257,18 +257,27 @@ class Pipeline
     /** RNG stream seed of batch @p index in epoch @p epoch. */
     uint64_t batch_seed(int64_t epoch, int64_t index) const;
 
-    /** Reorder decision for one window against the resident batch. */
-    std::vector<size_t> window_order(
-        const match::Matcher &matcher,
+    /**
+     * The node set of each subgraph in a window, built once for both
+     * Reorder and Match; empty sets when the IO strategy uses neither.
+     */
+    std::vector<match::NodeSet> window_sets(
         const std::vector<sample::SampledSubgraph> &subgraphs) const;
+
+    /** Reorder decision for one window's sets against the resident batch. */
+    std::vector<size_t>
+    window_order(const match::Matcher &matcher,
+                 const std::vector<match::NodeSet> &sets) const;
 
     /**
      * Sample/id-map/io accounting for one batch — everything except the
-     * compute phase. Mutates only @p matcher (caller-owned, per GPU) and
-     * the cache's atomic statistics; safe to run concurrently across
-     * GPUs.
+     * compute phase. @p set is @p sg's node set (from window_sets); the
+     * Match strategies move it into @p matcher as the resident batch.
+     * Mutates only @p matcher (caller-owned, per GPU) and the cache's
+     * atomic statistics; safe to run concurrently across GPUs.
      */
     BatchRecord plan_transfer(const sample::SampledSubgraph &sg,
+                              match::NodeSet set,
                               match::Matcher &matcher) const;
 
     /** Modelled compute seconds of one batch (pure). */

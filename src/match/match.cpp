@@ -1,10 +1,12 @@
 #include "match/match.h"
 
+#include <utility>
+
 namespace fastgl {
 namespace match {
 
 TransferPlan
-Matcher::plan(const NodeSet &next)
+Matcher::plan(NodeSet next)
 {
     TransferPlan plan;
     if (!has_resident_) {
@@ -17,7 +19,7 @@ Matcher::plan(const NodeSet &next)
     }
     total_loaded_ += plan.load_count();
     total_reused_ += plan.overlap_nodes;
-    resident_ = next;
+    resident_ = std::move(next);
     has_resident_ = true;
     return plan;
 }

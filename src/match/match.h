@@ -46,9 +46,9 @@ class Matcher
     /**
      * Plan the transfer for @p next given the currently resident batch.
      * The first call (nothing resident) loads everything. Afterwards
-     * @p next becomes the resident batch.
+     * @p next is moved in as the resident batch.
      */
-    TransferPlan plan(const NodeSet &next);
+    TransferPlan plan(NodeSet next);
 
     /** Nodes currently resident (empty before the first plan). */
     const NodeSet &resident() const { return resident_; }

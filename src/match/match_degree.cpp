@@ -1,6 +1,8 @@
 #include "match/match_degree.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace fastgl {
 namespace match {
@@ -71,9 +73,62 @@ intersect_sorted(std::span<const graph::NodeId> a,
     return detail::intersect_merge(a, b);
 }
 
+namespace {
+
+/** Below this many IDs the comparison sort wins over radix passes. */
+constexpr size_t kRadixMinSize = 256;
+
+/** Widest radix digit (2^11 counters = 16 KiB of histogram). */
+constexpr int kMaxDigitBits = 11;
+
+/**
+ * Sort @p ids ascending in linear time: LSD radix over only the bits in
+ * which the IDs differ, i.e. over (id - min) as an unsigned value, so
+ * negative IDs and IDs near 2^63 sort exactly like std::sort orders
+ * them. The passes split those bits into equal digits of at most
+ * kMaxDigitBits; each pass is a stable counting scatter.
+ */
+void
+radix_sort(std::vector<graph::NodeId> &ids)
+{
+    if (ids.size() < kRadixMinSize) {
+        std::sort(ids.begin(), ids.end());
+        return;
+    }
+    const auto [lo_it, hi_it] = std::minmax_element(ids.begin(), ids.end());
+    const uint64_t lo = static_cast<uint64_t>(*lo_it);
+    const int bits =
+        std::bit_width(static_cast<uint64_t>(*hi_it) - lo);
+    if (bits == 0)
+        return; // every ID equal
+    const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+    const int digit_bits = (bits + passes - 1) / passes;
+    const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+
+    std::vector<graph::NodeId> scratch(ids.size());
+    std::vector<size_t> offsets(size_t{1} << digit_bits);
+    for (int shift = 0; shift < bits; shift += digit_bits) {
+        auto digit = [lo, shift, mask](graph::NodeId id) {
+            return static_cast<size_t>(
+                ((static_cast<uint64_t>(id) - lo) >> shift) & mask);
+        };
+        std::fill(offsets.begin(), offsets.end(), 0);
+        for (graph::NodeId id : ids)
+            ++offsets[digit(id)];
+        size_t sum = 0;
+        for (size_t &offset : offsets)
+            sum += std::exchange(offset, sum);
+        for (graph::NodeId id : ids)
+            scratch[offsets[digit(id)]++] = id;
+        ids.swap(scratch);
+    }
+}
+
+} // namespace
+
 NodeSet::NodeSet(const std::vector<graph::NodeId> &nodes) : sorted_(nodes)
 {
-    std::sort(sorted_.begin(), sorted_.end());
+    radix_sort(sorted_);
     sorted_.erase(std::unique(sorted_.begin(), sorted_.end()),
                   sorted_.end());
 }

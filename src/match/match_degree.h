@@ -67,7 +67,11 @@ class NodeSet
   public:
     NodeSet() = default;
 
-    /** Build from an arbitrary node list (copies, sorts, dedups). */
+    /**
+     * Build from an arbitrary node list (copies, sorts, dedups). The
+     * sort is a linear-time radix sort; the result equals std::sort
+     * plus std::unique for any input.
+     */
     explicit NodeSet(const std::vector<graph::NodeId> &nodes);
 
     /** Number of unique nodes. */

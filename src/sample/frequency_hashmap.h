@@ -14,10 +14,10 @@
  * ranking bit-identical to the dense two-pass.
  *
  * Counting rides on the local IDs the table assigns: sequential
- * insertion makes local ID == index into uniques()/counts(), so a
- * repeat costs one lookup + one increment and a fresh node one insert +
- * two push_backs. Not thread safe (single caller, like the presample
- * loops it serves).
+ * insertion makes local ID == index into uniques()/counts(), so each
+ * occurrence costs one fused insert-and-translate walk plus either an
+ * increment (repeat) or two push_backs (fresh). Not thread safe (single
+ * caller, like the presample loops it serves).
  */
 #pragma once
 

@@ -1,7 +1,8 @@
 #include "sample/fused_hash_table.h"
 
+#include <atomic>
+
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace fastgl {
 namespace sample {
@@ -19,16 +20,6 @@ next_pow2(size_t n)
     return p;
 }
 
-/** Finalizer-style hash spreading global IDs across slots. */
-uint64_t
-hash_id(graph::NodeId global)
-{
-    uint64_t x = static_cast<uint64_t>(global);
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
 } // namespace
 
 FusedHashTable::FusedHashTable(size_t capacity_hint)
@@ -40,94 +31,68 @@ void
 FusedHashTable::reset(size_t capacity_hint)
 {
     const size_t slots = next_pow2(capacity_hint * 2 + 1);
-    if (slots != keys_.size()) {
-        // std::atomic is not movable; rebuild the arrays.
-        keys_ = std::vector<std::atomic<graph::NodeId>>(slots);
-        values_ = std::vector<std::atomic<int64_t>>(slots);
+    if (slots != slots_.size()) {
+        slots_.assign(slots, Slot{kEmptyKey, 0});
         mask_ = slots - 1;
-        for (auto &key : keys_)
-            key.store(kEmptyKey, std::memory_order_relaxed);
-    } else if (track_touched_) {
+    } else if (untracked_) {
+        for (Slot &slot : slots_)
+            slot.key = kEmptyKey;
+    } else {
         // Only the slots fresh inserts filled need emptying.
         for (size_t index : touched_)
-            keys_[index].store(kEmptyKey, std::memory_order_relaxed);
-    } else {
-        for (auto &key : keys_)
-            key.store(kEmptyKey, std::memory_order_relaxed);
+            slots_[index].key = kEmptyKey;
     }
-    // values_ needs no sweep — but only because of the API contract
-    // that lookups run after the insert phase has quiesced (see
-    // lookup()): a slot's value is only read after its key matched,
-    // and by quiescence every fresh insert's value store is visible.
-    // insert() publishes the key (CAS) *before* storing the value, so
-    // under a forbidden concurrent insert+lookup a matched key could
-    // pair with a stale value from a previous epoch — an in-range,
-    // silently wrong local ID, not the zero the old full sweep gave.
+    // Values need no sweep: a slot's value is only read after its key
+    // matched, and every claim writes the value (see lookup()).
     touched_.clear();
-    next_local_.store(0, std::memory_order_relaxed);
-    probes_.store(0, std::memory_order_relaxed);
+    untracked_ = false;
+    next_local_ = 0;
+    probes_ = 0;
 }
 
-void
-FusedHashTable::set_touched_tracking(bool on)
+FusedHashTable::Slot &
+FusedHashTable::find_or_claim(graph::NodeId global, uint64_t &walk)
 {
-    FASTGL_CHECK(size() == 0,
-                 "touched tracking must be toggled on an empty table");
-    track_touched_ = on;
-    touched_.clear();
-}
-
-size_t
-FusedHashTable::slot_for(graph::NodeId global) const
-{
-    return static_cast<size_t>(hash_id(global)) & mask_;
+    FASTGL_CHECK(global >= 0, "negative global ID");
+    size_t index = slot_for(global);
+    for (uint64_t steps = 1;; ++steps) {
+        Slot &slot = slots_[index];
+        if (slot.key == global) {
+            // Flag == True: the ID is already mapped.
+            walk += steps;
+            return slot;
+        }
+        if (slot.key == kEmptyKey) {
+            // Flag == False: claim the slot and draw the next local ID
+            // (Algorithm 2 lines 13 and 28-29).
+            slot.key = global;
+            slot.value = next_local_++;
+            touched_.push_back(index);
+            walk += steps;
+            return slot;
+        }
+        // Conflict: linear probing (line 20).
+        index = (index + 1) & mask_;
+        FASTGL_CHECK(steps < slots_.size(),
+                     "hash table is full — capacity hint too small");
+    }
 }
 
 bool
 FusedHashTable::insert(graph::NodeId global)
 {
-    FASTGL_CHECK(global >= 0, "negative global ID");
-    size_t index = slot_for(global);
-    uint64_t local_probes = 0;
-    for (;;) {
-        ++local_probes;
-        std::atomic<graph::NodeId> &slot = keys_[index];
-        // Cheap test before the CAS: most probes in a sampling batch
-        // land on an already-claimed slot (duplicate instances), and a
-        // plain acquire load avoids the atomic RMW entirely. Keys are
-        // write-once, so a non-empty observation is final and the probe
-        // walk is the one the CAS-only version would take.
-        graph::NodeId seen = slot.load(std::memory_order_acquire);
-        if (seen == kEmptyKey) {
-            graph::NodeId expected = kEmptyKey;
-            // Algorithm 2 line 13:
-            // Val = atomicCAS(HashIndex, -1, GlobalID).
-            if (slot.compare_exchange_strong(expected, global,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-                // Flag == False: fresh insertion — draw the next local
-                // ID (line 28-29: value <- LocalID; atomicAdd(...)).
-                const int64_t local =
-                    next_local_.fetch_add(1, std::memory_order_acq_rel);
-                values_[index].store(local, std::memory_order_release);
-                probes_.fetch_add(local_probes,
-                                  std::memory_order_relaxed);
-                if (track_touched_)
-                    touched_.push_back(index);
-                return true;
-            }
-            seen = expected; // Lost the race; expected holds the owner.
-        }
-        if (seen == global) {
-            // Flag == True: another thread owns this global ID; no-op.
-            probes_.fetch_add(local_probes, std::memory_order_relaxed);
-            return false;
-        }
-        // Conflict: linear probing (line 20).
-        index = (index + 1) & mask_;
-        FASTGL_CHECK(local_probes <= keys_.size(),
-                     "hash table is full — capacity hint too small");
-    }
+    const int64_t before = next_local_;
+    find_or_claim(global, probes_);
+    return next_local_ != before;
+}
+
+graph::NodeId
+FusedHashTable::insert_translate(graph::NodeId global)
+{
+    uint64_t walk = 0;
+    const Slot &slot = find_or_claim(global, walk);
+    probes_ += 2 * walk;
+    return slot.value;
 }
 
 void
@@ -138,16 +103,61 @@ FusedHashTable::insert_stream(std::span<const graph::NodeId> stream)
 }
 
 void
+FusedHashTable::insert_concurrent(graph::NodeId global)
+{
+    FASTGL_CHECK(global >= 0, "negative global ID");
+    size_t index = slot_for(global);
+    for (uint64_t steps = 1;; ++steps) {
+        Slot &slot = slots_[index];
+        std::atomic_ref<graph::NodeId> key(slot.key);
+        // Cheap test before the CAS: most probes land on an already
+        // claimed slot (duplicate instances), and a plain acquire load
+        // avoids the atomic RMW. Keys are write-once, so a non-empty
+        // observation is final and the walk is the CAS-only one.
+        graph::NodeId seen = key.load(std::memory_order_acquire);
+        if (seen == kEmptyKey) {
+            graph::NodeId expected = kEmptyKey;
+            // Algorithm 2 line 13:
+            // Val = atomicCAS(HashIndex, -1, GlobalID).
+            if (key.compare_exchange_strong(expected, global,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+                // Flag == False: fresh insertion — draw the next local
+                // ID (line 28-29: value <- LocalID; atomicAdd(...)).
+                const int64_t local =
+                    std::atomic_ref<int64_t>(next_local_)
+                        .fetch_add(1, std::memory_order_acq_rel);
+                std::atomic_ref<int64_t>(slot.value)
+                    .store(local, std::memory_order_release);
+                std::atomic_ref<uint64_t>(probes_).fetch_add(
+                    steps, std::memory_order_relaxed);
+                return;
+            }
+            seen = expected; // Lost the race; expected holds the owner.
+        }
+        if (seen == global) {
+            // Flag == True: another thread owns this global ID; no-op.
+            std::atomic_ref<uint64_t>(probes_).fetch_add(
+                steps, std::memory_order_relaxed);
+            return;
+        }
+        // Conflict: linear probing (line 20).
+        index = (index + 1) & mask_;
+        FASTGL_CHECK(steps < slots_.size(),
+                     "hash table is full — capacity hint too small");
+    }
+}
+
+void
 FusedHashTable::insert_stream_parallel(
     std::span<const graph::NodeId> stream, util::ThreadPool &pool)
 {
-    FASTGL_CHECK(!track_touched_,
-                 "touched tracking is single-threaded; disable it "
-                 "before parallel insertion");
+    // Workers cannot share touched_, so the next reset() sweeps.
+    untracked_ = true;
     pool.parallel_for(stream.size(), [this, stream](size_t begin,
                                                     size_t end) {
         for (size_t i = begin; i < end; ++i)
-            insert(stream[i]);
+            insert_concurrent(stream[i]);
     });
 }
 
@@ -155,20 +165,18 @@ graph::NodeId
 FusedHashTable::lookup(graph::NodeId global) const
 {
     size_t index = slot_for(global);
-    uint64_t local_probes = 0;
-    for (;;) {
-        ++local_probes;
-        const graph::NodeId key = keys_[index].load(std::memory_order_acquire);
-        if (key == global) {
-            probes_.fetch_add(local_probes, std::memory_order_relaxed);
-            return values_[index].load(std::memory_order_acquire);
+    for (uint64_t steps = 1;; ++steps) {
+        const Slot &slot = slots_[index];
+        if (slot.key == global) {
+            probes_ += steps;
+            return slot.value;
         }
-        if (key == kEmptyKey) {
-            probes_.fetch_add(local_probes, std::memory_order_relaxed);
+        if (slot.key == kEmptyKey) {
+            probes_ += steps;
             return graph::kInvalidNode;
         }
         index = (index + 1) & mask_;
-        if (local_probes > keys_.size())
+        if (steps >= slots_.size())
             return graph::kInvalidNode;
     }
 }
@@ -176,17 +184,20 @@ FusedHashTable::lookup(graph::NodeId global) const
 std::vector<graph::NodeId>
 FusedHashTable::local_to_global() const
 {
-    std::vector<graph::NodeId> result(
-        static_cast<size_t>(size()), graph::kInvalidNode);
-    for (size_t i = 0; i < keys_.size(); ++i) {
-        const graph::NodeId key = keys_[i].load(std::memory_order_acquire);
-        if (key != kEmptyKey) {
-            const int64_t local =
-                values_[i].load(std::memory_order_acquire);
-            FASTGL_CHECK(local >= 0 &&
-                             local < static_cast<int64_t>(result.size()),
+    std::vector<graph::NodeId> result(static_cast<size_t>(size()),
+                                      graph::kInvalidNode);
+    if (!untracked_) {
+        // Sequential claims drew local IDs in touched_ order.
+        for (size_t local = 0; local < result.size(); ++local)
+            result[local] = slots_[touched_[local]].key;
+        return result;
+    }
+    for (const Slot &slot : slots_) {
+        if (slot.key != kEmptyKey) {
+            FASTGL_CHECK(slot.value >= 0 &&
+                             slot.value < static_cast<int64_t>(result.size()),
                          "local ID out of range");
-            result[static_cast<size_t>(local)] = key;
+            result[static_cast<size_t>(slot.value)] = slot.key;
         }
     }
     return result;

@@ -16,7 +16,6 @@ LayerSampler::LayerSampler(const graph::CsrGraph &graph,
     FASTGL_CHECK(!opts_.layer_sizes.empty(), "need at least one layer");
     for (int64_t size : opts_.layer_sizes)
         FASTGL_CHECK(size > 0, "layer sizes must be positive");
-    table_.set_touched_tracking(true);
 }
 
 SampledSubgraph
@@ -106,14 +105,20 @@ LayerSampler::sample(std::span<const graph::NodeId> seeds)
         for (size_t i = 0; i < keep; ++i)
             chosen_.unset(static_cast<size_t>(keyed_[i].second));
 
-        // ID-map construction for the new layer's nodes.
-        for (graph::NodeId v : blk.src_globals) {
-            if (table_.insert(v))
+        // ID-map construction and translation for the new layer's
+        // nodes, one fused walk per source (same IDs and probe count as
+        // an insert pass followed by a lookup pass).
+        std::vector<graph::NodeId> &sources =
+            sg.blocks[static_cast<size_t>(h)].sources;
+        sources.resize(blk.src_globals.size());
+        for (size_t e = 0; e < blk.src_globals.size(); ++e) {
+            const graph::NodeId v = blk.src_globals[e];
+            sources[e] = table_.insert_translate(v);
+            if (sources[e] == static_cast<graph::NodeId>(sg.nodes.size()))
                 sg.nodes.push_back(v);
         }
     }
 
-    // Translate pass.
     for (int h = 0; h < hops; ++h) {
         PendingBlock &blk = pending_[static_cast<size_t>(h)];
         LayerBlock &out = sg.blocks[static_cast<size_t>(h)];
@@ -124,12 +129,6 @@ LayerSampler::sample(std::span<const graph::NodeId> seeds)
         for (size_t t = 0; t < num_targets; ++t) {
             out.targets[t] = int64_t(t);
             out.indptr[t + 1] = out.indptr[t] + blk.counts[t];
-        }
-        out.sources.resize(blk.src_globals.size());
-        for (size_t e = 0; e < blk.src_globals.size(); ++e) {
-            out.sources[e] = table_.lookup(blk.src_globals[e]);
-            FASTGL_CHECK(out.sources[e] != graph::kInvalidNode,
-                         "layer node missing from ID map");
         }
     }
 

@@ -15,9 +15,6 @@ NeighborSampler::NeighborSampler(const graph::CsrGraph &graph,
     FASTGL_CHECK(!opts_.fanouts.empty(), "need at least one fanout");
     for (int fanout : opts_.fanouts)
         FASTGL_CHECK(fanout > 0, "fanouts must be positive");
-    // Sampler instances are single-threaded, so the ID map can clear
-    // only the slots each batch actually filled.
-    table_.set_touched_tracking(true);
 }
 
 SampledSubgraph
@@ -72,6 +69,9 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
     // fanouts spill to the arena below.
     constexpr int kStackFanout = 64;
     graph::EdgeId chosen_stack[kStackFanout];
+    // The CSR row this many frontier nodes ahead is prefetched while
+    // the current target samples.
+    constexpr size_t kRowsAhead = 4;
 
     for (int h = 0; h < hops; ++h) {
         const int fanout = opts_.fanouts[hops - 1 - h];
@@ -92,7 +92,29 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
                           src_cap};
         blk.num_sources = 0;
 
+        // ID-map construction and translation, fused into the sampling
+        // loop one target behind it, while the picks are cache-hot. The
+        // insert sequence equals src_globals order — exactly what the
+        // former whole-hop insert pass produced — and insert_translate
+        // counts the same fixed probe path the former deferred translate
+        // pass walked, so local IDs and total probe counts are unchanged.
+        // Deferring a target's inserts cannot change what is sampled:
+        // this hop's frontier is fixed at nodes[0 .. frontier_size).
+        size_t mapped = 0;
+        auto map_sources = [&](size_t end) {
+            for (; mapped < end; ++mapped) {
+                const graph::NodeId v = blk.src_globals[mapped];
+                const graph::NodeId local = table_.insert_translate(v);
+                if (local == static_cast<graph::NodeId>(nodes.size()))
+                    nodes.push_back(v);
+                blk.src_locals[mapped] = local;
+            }
+        };
+
         for (size_t t = 0; t < frontier_size; ++t) {
+            if (t + kRowsAhead < frontier_size)
+                __builtin_prefetch(
+                    graph_.neighbors(nodes[t + kRowsAhead]).data());
             const size_t first_src = blk.num_sources;
             const graph::NodeId u = nodes[t];
             const auto nbrs = graph_.neighbors(u);
@@ -144,20 +166,14 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
             }
             blk.counts[t] = count;
 
-            // ID-map construction and translation, fused into the
-            // sampling loop while this target's picks are still
-            // cache-hot. The insert sequence equals src_globals order —
-            // exactly what the former whole-hop insert pass produced —
-            // and the immediate lookup walks the same fixed probe path
-            // the former deferred translate pass would have, so local
-            // IDs and total probe counts are unchanged.
-            for (size_t e = first_src; e < blk.num_sources; ++e) {
-                const graph::NodeId v = blk.src_globals[e];
-                if (table_.insert(v))
-                    nodes.push_back(v);
-                blk.src_locals[e] = table_.lookup(v);
-            }
+            // Request this target's home slots now; they are probed
+            // after the next target samples, by which time they are in
+            // cache.
+            for (size_t e = first_src; e < blk.num_sources; ++e)
+                table_.prefetch(blk.src_globals[e]);
+            map_sources(first_src);
         }
+        map_sources(blk.num_sources);
 
         // Every sampled endpoint is an instance except the synthetic self
         // loops, which the ID map never sees separately (the target is
@@ -168,8 +184,7 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
                              : 0);
     }
 
-    // Translate pass (the paper's second kernel): convert the recorded
-    // global IDs into local IDs and finalise the CSR blocks.
+    // Finalise the CSR blocks from the translated local IDs.
     for (int h = 0; h < hops; ++h) {
         PendingBlock &blk = pending_[static_cast<size_t>(h)];
         LayerBlock &out = sg.blocks[h];
@@ -180,12 +195,9 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
         out.indptr[0] = 0;
         for (size_t t = 0; t < num_targets; ++t)
             out.indptr[t + 1] = out.indptr[t] + blk.counts[t];
-        out.sources.resize(blk.num_sources);
-        for (size_t e = 0; e < blk.num_sources; ++e) {
-            FASTGL_CHECK(blk.src_locals[e] != graph::kInvalidNode,
-                         "sampled node missing from ID map");
-            out.sources[e] = blk.src_locals[e];
-        }
+        out.sources.assign(blk.src_locals.begin(),
+                           blk.src_locals.begin() +
+                               static_cast<ptrdiff_t>(blk.num_sources));
     }
 
     sg.id_map.instances = sg.instances;

@@ -83,12 +83,12 @@ class NeighborSampler
         std::span<graph::EdgeId> counts;      ///< Per-target edge count.
         std::span<graph::NodeId> src_globals; ///< Source global IDs.
         /**
-         * Source local IDs, resolved right after each insert while the
-         * slot is cache-hot. In this insert-only linear-probe table a
-         * key's probe path is fixed once inserted, so the immediate
-         * lookup returns the same ID with the same probe count as the
-         * deferred whole-batch translate pass used to — the pass is now
-         * a plain copy.
+         * Source local IDs, resolved by the insert itself while the
+         * slot is cache-hot (FusedHashTable::insert_translate). In this
+         * insert-only linear-probe table a key's probe path is fixed
+         * once inserted, so the fused call returns the same ID with the
+         * same probe count as the deferred whole-batch translate pass
+         * used to — the pass is now a plain copy.
          */
         std::span<graph::NodeId> src_locals;
         size_t num_sources = 0;

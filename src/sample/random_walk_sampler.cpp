@@ -16,7 +16,6 @@ RandomWalkSampler::RandomWalkSampler(const graph::CsrGraph &graph,
     FASTGL_CHECK(opts_.walk_length > 0, "walk length must be positive");
     FASTGL_CHECK(opts_.num_walks > 0, "walk count must be positive");
     FASTGL_CHECK(opts_.top_k > 0, "top_k must be positive");
-    table_.set_touched_tracking(true);
     // Flat visit-count array, zeroed once; walks only ever touch the
     // entries they visit, and those are re-zeroed per seed via the
     // touched list, so the invariant "all zero between seeds" holds
@@ -132,8 +131,12 @@ RandomWalkSampler::sample(std::span<const graph::NodeId> seeds)
             visit_counts_[static_cast<size_t>(touched[t])] = 0;
     }
 
+    // ID-map construction and translation, one fused walk per source
+    // (same IDs and probe count as an insert pass then a lookup pass).
+    blk.sources.resize(num_src);
     for (size_t e = 0; e < num_src; ++e) {
-        if (table_.insert(src_globals[e]))
+        blk.sources[e] = table_.insert_translate(src_globals[e]);
+        if (blk.sources[e] == static_cast<graph::NodeId>(sg.nodes.size()))
             sg.nodes.push_back(src_globals[e]);
     }
 
@@ -144,12 +147,6 @@ RandomWalkSampler::sample(std::span<const graph::NodeId> seeds)
     blk.indptr[0] = 0;
     for (size_t t = 0; t < num_targets; ++t)
         blk.indptr[t + 1] = blk.indptr[t] + counts[t];
-    blk.sources.resize(num_src);
-    for (size_t e = 0; e < num_src; ++e) {
-        blk.sources[e] = table_.lookup(src_globals[e]);
-        FASTGL_CHECK(blk.sources[e] != graph::kInvalidNode,
-                     "walk node missing from ID map");
-    }
 
     sg.id_map.instances = sg.instances;
     sg.id_map.uniques = table_.size();

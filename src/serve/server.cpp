@@ -230,8 +230,6 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
             opts_.storage);
     }
 
-    table_.set_touched_tracking(true);
-
     if (opts_.compute_logits) {
         engine_ = std::make_unique<compute::KernelEngine>(
             opts_.compute_threads);

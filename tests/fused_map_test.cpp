@@ -4,7 +4,9 @@
  *
  * The core claims: (1) every distinct global ID receives exactly one local
  * ID; (2) local IDs are dense in [0, uniques); (3) this holds under real
- * multi-threaded insertion; (4) linear probing resolves collisions.
+ * multi-threaded insertion; (4) linear probing resolves collisions;
+ * (5) the fused insert-and-translate and the concurrent path agree with
+ * the sequential single-writer calls, probe counts included.
  */
 #include <gtest/gtest.h>
 
@@ -162,6 +164,75 @@ TEST(FusedHashTable, ParallelAndSequentialAgreeOnUniqueCount)
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b);
+}
+
+/** A heavily duplicated stream over a small universe. */
+std::vector<graph::NodeId>
+duplicated_stream(uint64_t seed, size_t length, uint64_t universe)
+{
+    util::Rng rng(seed);
+    std::vector<graph::NodeId> stream(length);
+    for (auto &g : stream)
+        g = static_cast<graph::NodeId>(rng.next_below(universe));
+    return stream;
+}
+
+TEST(FusedHashTable, OneThreadParallelInsertEqualsSequential)
+{
+    // One worker runs the whole stream as one chunk, in order, so the
+    // compare-and-swap path must reproduce the single-writer path
+    // exactly: same local IDs, same probe count.
+    const auto stream = duplicated_stream(11, 40000, 5000);
+    sample::FusedHashTable seq(stream.size());
+    seq.insert_stream(stream);
+
+    util::ThreadPool pool(1);
+    sample::FusedHashTable par(stream.size());
+    par.insert_stream_parallel(stream, pool);
+
+    EXPECT_EQ(par.size(), seq.size());
+    EXPECT_EQ(par.probes(), seq.probes());
+    EXPECT_EQ(par.local_to_global(), seq.local_to_global());
+    for (graph::NodeId g : stream)
+        ASSERT_EQ(par.lookup(g), seq.lookup(g));
+}
+
+TEST(FusedHashTable, InsertTranslateEqualsInsertThenLookup)
+{
+    // A table sized for a tenth of the stream keeps probe walks long.
+    const auto stream = duplicated_stream(12, 20000, 3000);
+    sample::FusedHashTable fused(stream.size() / 10);
+    sample::FusedHashTable split(stream.size() / 10);
+    for (int round = 0; round < 2; ++round) {
+        for (graph::NodeId g : stream) {
+            const int64_t before = split.size();
+            const bool fresh = split.insert(g);
+            const graph::NodeId want = split.lookup(g);
+            const graph::NodeId got = fused.insert_translate(g);
+            ASSERT_EQ(got, want);
+            ASSERT_EQ(got == before, fresh);
+            ASSERT_EQ(fused.probes(), split.probes());
+        }
+        EXPECT_EQ(fused.local_to_global(), split.local_to_global());
+        // The second round starts from a reset table of the same size.
+        fused.reset(stream.size() / 10);
+        split.reset(stream.size() / 10);
+    }
+}
+
+TEST(FusedHashTable, ResetAfterParallelFillClearsEverySlot)
+{
+    // Parallel claims are not recorded, so the reset must sweep.
+    const auto stream = duplicated_stream(13, 10000, 4000);
+    util::ThreadPool pool(4);
+    sample::FusedHashTable table(stream.size());
+    table.insert_stream_parallel(stream, pool);
+    table.reset(stream.size());
+    for (graph::NodeId g : stream)
+        ASSERT_EQ(table.lookup(g), graph::kInvalidNode);
+    EXPECT_TRUE(table.insert(stream[0]));
+    EXPECT_EQ(table.local_to_global(),
+              std::vector<graph::NodeId>{stream[0]});
 }
 
 } // namespace

@@ -241,6 +241,50 @@ TEST(Intersection, NodeSetUsesAdaptiveKernel)
     }
 }
 
+/** The pre-radix NodeSet build: comparison sort, then dedup. */
+std::vector<graph::NodeId>
+sort_unique(std::vector<graph::NodeId> v)
+{
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+}
+
+TEST(NodeSetBuild, RadixSortEqualsSortUniqueUnderFuzz)
+{
+    util::Rng rng(4242);
+    const graph::NodeId near_top = graph::NodeId{1} << 62;
+    std::vector<std::vector<graph::NodeId>> lists = {
+        {}, {0}, {-7}, {near_top}, {5, 5}, {3, 1, 2}};
+    for (size_t size : {255, 256, 257, 1000, 14000}) {
+        // Duplicates over a small universe, sparse IDs over a huge one,
+        // IDs near 2^62, negative IDs, and one value repeated.
+        std::vector<graph::NodeId> dup, sparse, high, negative, same;
+        for (size_t i = 0; i < size; ++i) {
+            dup.push_back(
+                static_cast<graph::NodeId>(rng.next_below(size / 4 + 1)));
+            sparse.push_back(static_cast<graph::NodeId>(rng() >> 1));
+            high.push_back(near_top - static_cast<graph::NodeId>(
+                                          rng.next_below(1u << 20)));
+            negative.push_back(static_cast<graph::NodeId>(rng()));
+            same.push_back(42);
+        }
+        for (auto *v : {&dup, &sparse, &high, &negative, &same})
+            lists.push_back(*v);
+    }
+    // The extremes of the ID type, interleaved with ordinary IDs.
+    std::vector<graph::NodeId> extremes;
+    for (int i = 0; i < 300; ++i)
+        extremes.push_back(i % 3 == 0   ? INT64_MIN
+                           : i % 3 == 1 ? INT64_MAX
+                                        : graph::NodeId{i});
+    lists.push_back(extremes);
+
+    for (const auto &list : lists)
+        ASSERT_EQ(match::NodeSet(list).sorted(), sort_unique(list))
+            << "size " << list.size();
+}
+
 // ------------------------------------------- parallel degree matrix
 
 std::vector<match::NodeSet>
