@@ -75,9 +75,6 @@ intersect_sorted(std::span<const graph::NodeId> a,
 
 namespace {
 
-/** Below this many IDs the comparison sort wins over radix passes. */
-constexpr size_t kRadixMinSize = 256;
-
 /** Widest radix digit (2^11 counters = 16 KiB of histogram). */
 constexpr int kMaxDigitBits = 11;
 
@@ -91,10 +88,8 @@ constexpr int kMaxDigitBits = 11;
 void
 radix_sort(std::vector<graph::NodeId> &ids)
 {
-    if (ids.size() < kRadixMinSize) {
-        std::sort(ids.begin(), ids.end());
+    if (ids.size() < 2)
         return;
-    }
     const auto [lo_it, hi_it] = std::minmax_element(ids.begin(), ids.end());
     const uint64_t lo = static_cast<uint64_t>(*lo_it);
     const int bits =

@@ -35,6 +35,9 @@ FrequencyHashmap::add(graph::NodeId node)
         counts_.push_back(1);
         return true;
     }
+    FASTGL_CHECK(local >= 0 &&
+                     local < static_cast<graph::NodeId>(counts_.size()),
+                 "frequency map lost a counted node");
     ++counts_[static_cast<size_t>(local)];
     return false;
 }

@@ -86,13 +86,6 @@ class FusedHashTable
      */
     graph::NodeId lookup(graph::NodeId global) const;
 
-    /** Hint the cache to load the home slot of @p global. */
-    void
-    prefetch(graph::NodeId global) const
-    {
-        __builtin_prefetch(&slots_[slot_for(global)]);
-    }
-
     /** Number of unique IDs inserted, i.e. the next local ID. */
     int64_t size() const { return next_local_; }
 

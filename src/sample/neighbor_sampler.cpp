@@ -92,25 +92,6 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
                           src_cap};
         blk.num_sources = 0;
 
-        // ID-map construction and translation, fused into the sampling
-        // loop one target behind it, while the picks are cache-hot. The
-        // insert sequence equals src_globals order — exactly what the
-        // former whole-hop insert pass produced — and insert_translate
-        // counts the same fixed probe path the former deferred translate
-        // pass walked, so local IDs and total probe counts are unchanged.
-        // Deferring a target's inserts cannot change what is sampled:
-        // this hop's frontier is fixed at nodes[0 .. frontier_size).
-        size_t mapped = 0;
-        auto map_sources = [&](size_t end) {
-            for (; mapped < end; ++mapped) {
-                const graph::NodeId v = blk.src_globals[mapped];
-                const graph::NodeId local = table_.insert_translate(v);
-                if (local == static_cast<graph::NodeId>(nodes.size()))
-                    nodes.push_back(v);
-                blk.src_locals[mapped] = local;
-            }
-        };
-
         for (size_t t = 0; t < frontier_size; ++t) {
             if (t + kRowsAhead < frontier_size)
                 __builtin_prefetch(
@@ -166,14 +147,22 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
             }
             blk.counts[t] = count;
 
-            // Request this target's home slots now; they are probed
-            // after the next target samples, by which time they are in
-            // cache.
-            for (size_t e = first_src; e < blk.num_sources; ++e)
-                table_.prefetch(blk.src_globals[e]);
-            map_sources(first_src);
+            // ID-map construction and translation, fused into the
+            // sampling loop while this target's picks are cache-hot.
+            // Inserts run in src_globals order and insert_translate
+            // counts the lookup's walk too, so local IDs and probe
+            // counts equal a whole-hop insert pass followed by a
+            // translate pass. Inserting now cannot change what is
+            // sampled: this hop's frontier is fixed at
+            // nodes[0 .. frontier_size).
+            for (size_t e = first_src; e < blk.num_sources; ++e) {
+                const graph::NodeId v = blk.src_globals[e];
+                const graph::NodeId local = table_.insert_translate(v);
+                if (local == static_cast<graph::NodeId>(nodes.size()))
+                    nodes.push_back(v);
+                blk.src_locals[e] = local;
+            }
         }
-        map_sources(blk.num_sources);
 
         // Every sampled endpoint is an instance except the synthetic self
         // loops, which the ID map never sees separately (the target is
